@@ -75,10 +75,21 @@ struct KernelOps {
   /// clamp to the input bus instead of failing the precondition).
   void (*pwl_eval_reals_sat)(const PwlTableView&, const std::int64_t* q,
                              double* out, std::size_t n) = nullptr;
-  /// Σ a[i]·w[i] with int64 accumulation (Linear/attention GEMM rows).
+  /// Σ a[i]·w[i] with int64 accumulation. Callers: the integer GEMM behind
+  /// Linear::forward_int and the dense Conv2d lowering, for the outputs
+  /// left over after the last block of 4 (dot4_i32_i8); perfbench's
+  /// `kernel.dot_i32_i8_ns` probe.
   std::int64_t (*dot_i32_i8)(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) = nullptr;
-  /// acc[i] += w·x[i] over an int64 plane (1x1 conv channel accumulation).
+  /// out[r] = Σ a[i]·w[r·w_stride + i] for r = 0..3, int64 accumulation:
+  /// one activation row against a block of 4 weight rows. The inner step
+  /// of the integer GEMM behind Linear::forward_int and the dense
+  /// (im2col-lowered) Conv2d::forward_int. Scalar oracle: four dot loops.
+  void (*dot4_i32_i8)(const std::int32_t* a, const std::int8_t* w,
+                      std::size_t w_stride, std::size_t n,
+                      std::int64_t* out) = nullptr;
+  /// acc[i] += w·x[i] over an int64 row. Caller: the depthwise
+  /// Conv2d::forward_int lowering, one stride-1 output row per kernel tap.
   void (*axpy_i64_i32)(std::int64_t* acc, const std::int32_t* x,
                        std::int32_t w, std::size_t n) = nullptr;
   /// Σ x[i] widened to int64 (LayerNorm row sum).

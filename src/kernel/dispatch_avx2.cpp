@@ -24,6 +24,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "util/contracts.h"
 
 namespace gqa::kernel {
@@ -264,6 +266,33 @@ void avx2_pwl_eval_reals_sat(const PwlTableView& t, const std::int64_t* q,
   }
 }
 
+/// Odd int32 lanes moved into even position (the operand _mm256_mul_epi32
+/// reads), so even and odd products both come out as exact int64s.
+inline __m256i odd_dwords(__m256i v) {
+  return _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 1, 1));
+}
+
+/// acc += the 8 exact products av[j]·w[j], pairwise summed into 4 int64
+/// lanes; `av_odd` is odd_dwords(av), hoisted so several weight rows share
+/// one activation load.
+inline __m256i mac8_i32_i8(__m256i acc, __m256i av, __m256i av_odd,
+                           const std::int8_t* w) {
+  const __m256i wv = _mm256_cvtepi8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w)));
+  const __m256i even = _mm256_mul_epi32(av, wv);
+  const __m256i odd = _mm256_mul_epi32(av_odd, odd_dwords(wv));
+  return _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+}
+
+/// acc += av64[j]·w[j] for 4 lanes; `av64` holds 4 activations widened to
+/// int64 (mul_epi32 reads each lane's low dword, the original value).
+inline __m256i mac4_i32_i8(__m256i acc, __m256i av64, const std::int8_t* w) {
+  std::int32_t packed;
+  std::memcpy(&packed, w, sizeof(packed));
+  const __m256i wv = _mm256_cvtepi8_epi64(_mm_cvtsi32_si128(packed));
+  return _mm256_add_epi64(acc, _mm256_mul_epi32(av64, wv));
+}
+
 std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -271,21 +300,61 @@ std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
   for (; i + 8 <= n; i += 8) {
     const __m256i av =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i wv = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i)));
-    // Exact 32x32->64 products: even dwords directly, odd dwords shuffled
-    // into even position first.
-    const __m256i even = _mm256_mul_epi32(av, wv);
-    const __m256i odd =
-        _mm256_mul_epi32(_mm256_shuffle_epi32(av, _MM_SHUFFLE(3, 3, 1, 1)),
-                         _mm256_shuffle_epi32(wv, _MM_SHUFFLE(3, 3, 1, 1)));
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+    acc = mac8_i32_i8(acc, av, odd_dwords(av), w + i);
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
   std::int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
   for (; i < n; ++i) sum += static_cast<std::int64_t>(a[i]) * w[i];
   return sum;
+}
+
+void avx2_dot4_i32_i8(const std::int32_t* a, const std::int8_t* w,
+                      std::size_t w_stride, std::size_t n, std::int64_t* out) {
+  const std::int8_t* w0 = w;
+  const std::int8_t* w1 = w + w_stride;
+  const std::int8_t* w2 = w + 2 * w_stride;
+  const std::int8_t* w3 = w + 3 * w_stride;
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  __m256i acc2 = _mm256_setzero_si256();
+  __m256i acc3 = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i av =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i av_odd = odd_dwords(av);
+    acc0 = mac8_i32_i8(acc0, av, av_odd, w0 + i);
+    acc1 = mac8_i32_i8(acc1, av, av_odd, w1 + i);
+    acc2 = mac8_i32_i8(acc2, av, av_odd, w2 + i);
+    acc3 = mac8_i32_i8(acc3, av, av_odd, w3 + i);
+  }
+  if (i + 4 <= n) {  // one 4-wide step keeps short rows off the scalar tail
+    const __m256i av = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
+    acc0 = mac4_i32_i8(acc0, av, w0 + i);
+    acc1 = mac4_i32_i8(acc1, av, w1 + i);
+    acc2 = mac4_i32_i8(acc2, av, w2 + i);
+    acc3 = mac4_i32_i8(acc3, av, w3 + i);
+    i += 4;
+  }
+  // One horizontal reduction for the block: pair lanes within each 128-bit
+  // half, then fold the halves, leaving row r's total in lane r.
+  const __m256i s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(acc0, acc1),
+                                       _mm256_unpackhi_epi64(acc0, acc1));
+  const __m256i s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(acc2, acc3),
+                                       _mm256_unpackhi_epi64(acc2, acc3));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(out),
+      _mm256_add_epi64(_mm256_permute2x128_si256(s01, s23, 0x20),
+                       _mm256_permute2x128_si256(s01, s23, 0x31)));
+  for (; i < n; ++i) {
+    const std::int64_t ai = a[i];
+    out[0] += ai * w0[i];
+    out[1] += ai * w1[i];
+    out[2] += ai * w2[i];
+    out[3] += ai * w3[i];
+  }
 }
 
 void avx2_axpy_i64_i32(std::int64_t* acc, const std::int32_t* x,
@@ -385,6 +454,7 @@ const KernelBackend kAvx2Backend{
             .pwl_eval_reals = avx2_pwl_eval_reals,
             .pwl_eval_reals_sat = avx2_pwl_eval_reals_sat,
             .dot_i32_i8 = avx2_dot_i32_i8,
+            .dot4_i32_i8 = avx2_dot4_i32_i8,
             .axpy_i64_i32 = avx2_axpy_i64_i32,
             .sum_i32 = avx2_sum_i32,
             .ssq_centered_i32 = avx2_ssq_centered_i32,

@@ -59,6 +59,48 @@ Workspace* inline_ws(ThreadPool* pool, Workspace* ws) {
   return (pool == nullptr || pool->size() <= 1) ? ws : nullptr;
 }
 
+/// True when the active backend vectorizes the integer GEMM (the 4-row
+/// block and its single-row tail). Otherwise Linear and the dense Conv2d
+/// keep their scalar loops, the oracle.
+bool has_int_gemm(const kernel::KernelOps& ops) {
+  return ops.dot4_i32_i8 != nullptr && ops.dot_i32_i8 != nullptr;
+}
+
+/// Integer GEMM shared by Linear and the dense Conv2d lowering. For each of
+/// `rows` activation rows a_i = a[i·k, i·k+k) and each output o with weight
+/// row w_o = w[o·k, o·k+k):
+///   y[i·row_stride + o·col_stride] = rq(bias[o] + Σ a_i·w_o).
+/// Blocks of 4 outputs share one pass over a_i (dot4_i32_i8); the rest go
+/// through dot_i32_i8. int64 addition is exact in any order, so every
+/// output equals the scalar loop's bias-then-products sum bit for bit.
+void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
+              std::size_t rows, std::size_t k, const std::vector<std::int8_t>& w,
+              const std::vector<std::int32_t>& bias, const Requantizer& rq,
+              std::int32_t* y, std::size_t row_stride, std::size_t col_stride,
+              ThreadPool* pool) {
+  const std::size_t outs = bias.size();
+  pooled_for(
+      pool, rows,
+      [&](std::size_t i) {
+        const std::int32_t* arow = a + i * k;
+        std::int32_t* yrow = y + i * row_stride;
+        std::size_t o = 0;
+        for (; o + 4 <= outs; o += 4) {
+          std::int64_t acc[4];
+          ops.dot4_i32_i8(arow, w.data() + o * k, k, k, acc);
+          for (std::size_t r = 0; r < 4; ++r) {
+            yrow[(o + r) * col_stride] =
+                static_cast<std::int32_t>(rq.apply(bias[o + r] + acc[r]));
+          }
+        }
+        for (; o < outs; ++o) {
+          yrow[o * col_stride] = static_cast<std::int32_t>(
+              rq.apply(bias[o] + ops.dot_i32_i8(arow, w.data() + o * k, k)));
+        }
+      },
+      kMinRowsPerLane);
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- Linear ---
@@ -115,25 +157,22 @@ QTensor Linear::forward_int(const QTensor& x, ThreadPool* pool,
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
   QTensor y = ws_qtensor(ws, Shape{n, out_}, out_qp_);
-  // Dispatched inner product: integer accumulation reorders exactly (no
-  // overflow within the INT8xINT8->int64 domain), so the SIMD dot equals
-  // the scalar loop bit-for-bit and the bias-first order is preserved.
-  const auto dot = kernel::active().ops.dot_i32_i8;
+  const kernel::KernelOps& ops = kernel::active().ops;
+  if (has_int_gemm(ops)) {
+    int_gemm(ops, x.data().data(), static_cast<std::size_t>(n),
+             static_cast<std::size_t>(in_), wq_, bq_, rq_, y.data().data(),
+             static_cast<std::size_t>(out_), 1, pool);
+    return y;
+  }
   pooled_for(
       pool, static_cast<std::size_t>(n),
       [&](std::size_t row) {
         const int i = static_cast<int>(row);
-        const std::int32_t* xrow =
-            x.data().data() + static_cast<std::size_t>(i) * in_;
         for (int o = 0; o < out_; ++o) {
           std::int64_t acc = bq_[static_cast<std::size_t>(o)];
           const std::size_t wrow = static_cast<std::size_t>(o) * in_;
-          if (dot != nullptr) {
-            acc += dot(xrow, wq_.data() + wrow, static_cast<std::size_t>(in_));
-          } else {
-            for (int k = 0; k < in_; ++k) {
-              acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
-            }
+          for (int k = 0; k < in_; ++k) {
+            acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
           }
           y.at(i, o) = static_cast<std::int32_t>(rq_.apply(acc));
         }
@@ -225,29 +264,91 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
   QTensor y = ws_qtensor(ws, Shape{out_ch_, oh, ow}, out_qp_);
   const std::size_t kk = static_cast<std::size_t>(kernel_) * kernel_;
   const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
-  // Pointwise (1x1, stride 1, no pad, dense) convolutions are plane-wise
-  // axpy chains: per output channel, accumulate w[oc,ic]·x[ic,·] over the
-  // contiguous input planes into an int64 plane seeded with the bias. The
-  // per-pixel summation order (bias, then ic ascending) matches the scalar
-  // loop exactly, so the requantized codes are bit-identical. All other
-  // conv shapes keep the scalar loops below.
-  const auto axpy = kernel::active().ops.axpy_i64_i32;
-  if (axpy != nullptr && kernel_ == 1 && stride_ == 1 && pad_ == 0 &&
-      !depthwise_) {
-    const std::size_t plane = static_cast<std::size_t>(h) * w;
-    pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-      const int oc = static_cast<int>(ch);
-      std::vector<std::int64_t> acc(
-          plane, static_cast<std::int64_t>(bq_[static_cast<std::size_t>(oc)]));
-      for (int ic = 0; ic < in_ch_; ++ic) {
-        axpy(acc.data(),
-             x.data().data() + static_cast<std::size_t>(ic) * plane,
-             wq_[static_cast<std::size_t>(oc) * in_ch_ + ic], plane);
+  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
+  const kernel::KernelOps& ops = kernel::active().ops;
+  // Both lowerings below add the bias plus exactly the scalar loop's int64
+  // products (a padding tap contributes 0), and int64 addition reorders
+  // exactly, so the requantized codes are bit-identical to the loop at the
+  // end, which stays the oracle for backends without the kernels.
+  if (!depthwise_ && has_int_gemm(ops)) {
+    // im2col: row p = (oy, ox) holds p's receptive field in (ic, ky, kx)
+    // order, which is wq_'s per-output-channel layout, so the conv is one
+    // {pixels, per_oc} x {out_ch, per_oc}^T GEMM. Taps in the padding keep
+    // the acquire's zero fill.
+    std::vector<std::int32_t> col = ws_i32(ws, pixels * per_oc);
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        std::int32_t* row =
+            col.data() + (static_cast<std::size_t>(oy) * ow + ox) * per_oc;
+        const int x0 = ox * stride_ - pad_;
+        const int kx_lo = std::max(0, -x0);
+        const int kx_hi = std::min(kernel_, w - x0);
+        if (kx_hi <= kx_lo) continue;
+        for (int ic = 0; ic < in_ch_; ++ic) {
+          for (int ky = 0; ky < kernel_; ++ky) {
+            const int iy = oy * stride_ - pad_ + ky;
+            if (iy < 0 || iy >= h) continue;
+            const std::int32_t* src =
+                x.data().data() + (static_cast<std::size_t>(ic) * h + iy) * w +
+                static_cast<std::size_t>(x0 + kx_lo);
+            std::copy(src, src + (kx_hi - kx_lo),
+                      row + (ic * kernel_ + ky) * kernel_ + kx_lo);
+          }
+        }
       }
-      std::int32_t* yplane = y.data().data() + static_cast<std::size_t>(oc) * plane;
-      for (std::size_t p = 0; p < plane; ++p) {
-        yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
+    }
+    int_gemm(ops, col.data(), pixels, per_oc, wq_, bq_, rq_, y.data().data(),
+             1, pixels, pool);
+    ws_release(ws, std::move(col));
+    return y;
+  }
+  if (depthwise_ && ops.axpy_i64_i32 != nullptr) {
+    // Per channel: an int64 plane seeded with the bias, to which each tap
+    // (ky, kx) adds w·x over the output columns whose input column lies
+    // inside the image (a range computed once per tap). Stride-1 rows are
+    // contiguous on both sides and go through axpy_i64_i32.
+    Workspace* lane_ws = inline_ws(pool, ws);
+    pooled_for_chunks(pool, static_cast<std::size_t>(out_ch_),
+                      [&](std::size_t lo, std::size_t hi) {
+      std::vector<std::int64_t> acc = ws_i64(lane_ws, pixels);
+      for (std::size_t c = lo; c < hi; ++c) {
+        std::fill(acc.begin(), acc.end(), bq_[c]);
+        const std::int32_t* xc =
+            x.data().data() + c * static_cast<std::size_t>(h) * w;
+        for (int ky = 0; ky < kernel_; ++ky) {
+          for (int kx = 0; kx < kernel_; ++kx) {
+            const std::int32_t wt =
+                wq_[c * kk + static_cast<std::size_t>(ky * kernel_ + kx)];
+            // Output columns with 0 <= ox·stride − pad + kx < w.
+            const int ox_lo =
+                pad_ > kx ? (pad_ - kx + stride_ - 1) / stride_ : 0;
+            const int last = w - 1 + pad_ - kx;
+            const int ox_hi = last < 0 ? 0 : std::min(ow, last / stride_ + 1);
+            if (ox_hi <= ox_lo) continue;
+            const std::size_t span = static_cast<std::size_t>(ox_hi - ox_lo);
+            for (int oy = 0; oy < oh; ++oy) {
+              const int iy = oy * stride_ - pad_ + ky;
+              if (iy < 0 || iy >= h) continue;
+              std::int64_t* arow =
+                  acc.data() + static_cast<std::size_t>(oy) * ow + ox_lo;
+              const std::int32_t* xrow = xc + static_cast<std::size_t>(iy) * w +
+                                         (ox_lo * stride_ - pad_ + kx);
+              if (stride_ == 1) {
+                ops.axpy_i64_i32(arow, xrow, wt, span);
+              } else {
+                for (std::size_t j = 0; j < span; ++j) {
+                  arow[j] += static_cast<std::int64_t>(wt) * xrow[j * stride_];
+                }
+              }
+            }
+          }
+        }
+        std::int32_t* yplane = y.data().data() + c * pixels;
+        for (std::size_t p = 0; p < pixels; ++p) {
+          yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
+        }
       }
+      ws_release(lane_ws, std::move(acc));
     }, kMinChannelsPerLane);
     return y;
   }

@@ -97,7 +97,8 @@ class Conv2d {
   Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad, Rng& rng,
          bool depthwise = false);
 
-  // {C,H,W}; threads over output channels.
+  // {C,H,W}; threads over output channels (forward_int of a dense conv
+  // with the GEMM kernels: over output pixels).
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
                                   ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;

@@ -1,5 +1,6 @@
 #include "tfm/workspace.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -26,10 +27,20 @@ constexpr std::size_t kMaxPerClass = 8;
 // win lives in the large activation buffers (mmap-threshold regime).
 constexpr std::size_t kMinPooledElems = 2048;
 
-/// Pops a buffer from the request's size class (or starts fresh) and
-/// zero-fills it to `n` elements. A class's buffers converge to the
-/// capacity of its largest request, so steady-state acquires reuse
-/// capacity and never touch the allocator.
+/// First buffer in a capacity-sorted bucket whose capacity is >= n.
+template <typename T>
+auto first_covering(std::vector<std::vector<T>>& bucket, std::size_t n) {
+  return std::partition_point(
+      bucket.begin(), bucket.end(),
+      [n](const std::vector<T>& v) { return v.capacity() < n; });
+}
+
+/// Takes a buffer from the request's size class (or starts fresh) and
+/// zero-fills it to `n` elements. Buckets are kept sorted by capacity, and
+/// the smallest parked buffer that covers the request wins; only when none
+/// does, the largest grows. So a request never grows a buffer while a
+/// larger one sits parked, and steady-state acquires never touch the
+/// allocator.
 template <typename T, typename Stats>
 std::vector<T> refill(
     std::array<std::vector<std::vector<T>>, kSizeClasses>& pool,
@@ -38,12 +49,16 @@ std::vector<T> refill(
   ++stats.acquires;
   auto& bucket = pool[size_class(n)];
   std::vector<T> storage;
-  if (!bucket.empty()) {
-    storage = std::move(bucket.back());
-    bucket.pop_back();
-    if (storage.capacity() < n) ++stats.grows;
-  } else {
+  if (bucket.empty()) {
     ++stats.fresh;
+  } else {
+    auto it = first_covering(bucket, n);
+    if (it == bucket.end()) {
+      --it;
+      ++stats.grows;
+    }
+    storage = std::move(*it);
+    bucket.erase(it);
   }
   storage.assign(n, T{});
   return storage;
@@ -54,10 +69,14 @@ void park(std::array<std::vector<std::vector<T>>, kSizeClasses>& pool,
           std::vector<T>&& v) {
   if (v.capacity() < kMinPooledElems) return;  // tcache territory
   // Park by capacity so the class advertises what the buffer can serve
-  // without reallocating. Full classes drop the buffer (footprint bound).
+  // without reallocating. A full class keeps the larger of its smallest
+  // buffer and this one (footprint bound without losing coverage).
   auto& bucket = pool[size_class(v.capacity())];
-  if (bucket.size() >= kMaxPerClass) return;
-  bucket.push_back(std::move(v));
+  if (bucket.size() >= kMaxPerClass) {
+    if (v.capacity() <= bucket.front().capacity()) return;
+    bucket.erase(bucket.begin());
+  }
+  bucket.insert(first_covering(bucket, v.capacity()), std::move(v));
 }
 
 template <typename T>
@@ -80,6 +99,10 @@ QTensor Workspace::qtensor(Shape shape, const QuantParams& qp) {
   return QTensor(std::move(shape), qp, refill(i32_, n, stats_));
 }
 
+std::vector<std::int32_t> Workspace::i32(std::size_t n) {
+  return refill(i32_, n, stats_);
+}
+
 std::vector<std::int64_t> Workspace::i64(std::size_t n) {
   return refill(i64_, n, stats_);
 }
@@ -92,6 +115,10 @@ void Workspace::release(Tensor&& t) { park(fp_, std::move(t).take_storage()); }
 
 void Workspace::release(QTensor&& t) {
   park(i32_, std::move(t).take_storage());
+}
+
+void Workspace::release(std::vector<std::int32_t>&& v) {
+  park(i32_, std::move(v));
 }
 
 void Workspace::release(std::vector<std::int64_t>&& v) {

@@ -5,8 +5,9 @@
 // engine) those intermediates are identical in shape image after image, so
 // re-mallocing them dominates the allocator profile. A Workspace keeps the
 // retired storage and hands it back on the next acquire: after the first
-// image through a given model the steady state performs no heap allocation
-// for layer outputs at all.
+// image through a given model the steady state performs no pooled-size
+// heap allocation, for layer outputs or kernel scratch (tests/engine_test.cpp
+// pins this for both default models).
 //
 // Ownership rules (see README "Workspace ownership rules" and
 // docs/ARCHITECTURE.md):
@@ -53,7 +54,9 @@ class Workspace {
   [[nodiscard]] Tensor tensor(Shape shape);
   [[nodiscard]] QTensor qtensor(Shape shape, const QuantParams& qp);
 
-  /// Zero-filled scratch vectors for kernel staging buffers.
+  /// Zero-filled scratch vectors for kernel staging buffers. i32 shares its
+  /// free lists with qtensor storage.
+  [[nodiscard]] std::vector<std::int32_t> i32(std::size_t n);
   [[nodiscard]] std::vector<std::int64_t> i64(std::size_t n);
   [[nodiscard]] std::vector<double> f64(std::size_t n);
 
@@ -61,6 +64,7 @@ class Workspace {
   /// including ones not originally acquired here (their storage is adopted).
   void release(Tensor&& t);
   void release(QTensor&& t);
+  void release(std::vector<std::int32_t>&& v);
   void release(std::vector<std::int64_t>&& v);
   void release(std::vector<double>&& v);
 
@@ -81,10 +85,11 @@ class Workspace {
 
  private:
   // Free lists are bucketed by power-of-two size class (indexed by
-  // bit-width, so lookup is an array access). Model layers repeat the same
-  // shapes image after image, so each class quickly converges to buffers
-  // whose capacity covers its largest request and steady-state acquires
-  // never realloc. Classing (instead of exact sizes) lets similar-sized
+  // bit-width, so lookup is an array access) and kept sorted by capacity.
+  // An acquire takes the smallest parked buffer that covers it, so model
+  // layers, which repeat the same shapes image after image, stop
+  // reallocating once each class has met its requests once (the second
+  // forward). Classing (instead of exact sizes) lets similar-sized
   // layers share buffers, keeping the parked footprint near one buffer
   // per class — a single unkeyed LIFO stack would hand mismatched buffers
   // back and realloc almost every time, while exact-size keys would pin
@@ -154,6 +159,10 @@ class WorkspaceLease {
   return ws != nullptr ? ws->qtensor(std::move(shape), qp)
                        : QTensor(std::move(shape), qp);
 }
+[[nodiscard]] inline std::vector<std::int32_t> ws_i32(Workspace* ws,
+                                                      std::size_t n) {
+  return ws != nullptr ? ws->i32(n) : std::vector<std::int32_t>(n, 0);
+}
 [[nodiscard]] inline std::vector<std::int64_t> ws_i64(Workspace* ws,
                                                       std::size_t n) {
   return ws != nullptr ? ws->i64(n) : std::vector<std::int64_t>(n, 0);
@@ -166,6 +175,9 @@ inline void ws_release(Workspace* ws, Tensor&& t) {
 }
 inline void ws_release(Workspace* ws, QTensor&& t) {
   if (ws != nullptr) ws->release(std::move(t));
+}
+inline void ws_release(Workspace* ws, std::vector<std::int32_t>&& v) {
+  if (ws != nullptr) ws->release(std::move(v));
 }
 inline void ws_release(Workspace* ws, std::vector<std::int64_t>&& v) {
   if (ws != nullptr) ws->release(std::move(v));

@@ -262,6 +262,34 @@ TEST(Workspace, AdoptsForeignTensorsAndMatchesSizeClasses) {
   EXPECT_EQ(ws.stats().grows, 0U);
 }
 
+TEST(Workspace, ModelForwardsAllocateNothingAfterTheFirst) {
+  // workspace.h promises that after the first image a forward makes no
+  // allocator calls. Default-size models (the serving shapes) through one
+  // workspace each: every acquire from the second forward on must reuse a
+  // parked buffer that already covers it.
+  const std::vector<tfm::Tensor> images = test_images(6, 64);
+  tfm::SegformerB0Like seg;
+  seg.calibrate(images.front());
+  seg.freeze();
+  tfm::EfficientViTB0Like evit;
+  evit.calibrate(images.front());
+  evit.freeze();
+  const tfm::NonlinearProvider nl = full_provider_cold();
+  auto expect_steady = [&](const auto& model, const char* name) {
+    tfm::Workspace ws;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const tfm::Workspace::Stats before = ws.stats();
+      (void)model.forward_int(images[i], nl, nullptr, &ws);
+      if (i < 1) continue;
+      EXPECT_GT(ws.stats().acquires, before.acquires) << name;
+      EXPECT_EQ(ws.stats().fresh, before.fresh) << name << " forward " << i + 1;
+      EXPECT_EQ(ws.stats().grows, before.grows) << name << " forward " << i + 1;
+    }
+  };
+  expect_steady(seg, "segformer");
+  expect_steady(evit, "efficientvit");
+}
+
 // --------------------------------------------- pooled_for granularity ----
 
 TEST(PooledForGranularity, SkipsFanOutBelowThreshold) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -572,36 +573,125 @@ void expect_backend_invariant(const Fn& forward, const char* what) {
 
 TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
-  tfm::Linear lin(21, 16, rng);  // in=21: every GEMM row ends in a tail
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 21}, rng, 1.0);
-  (void)lin.calibrate(x);
-  const QuantParams in_qp{x.amax() / 127.0, 8, true};
-  (void)lin.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_backend_invariant([&] { return lin.forward_int(qx, nullptr); },
-                           "Linear int");
+  // in=21: every GEMM row ends in a tail. The output counts cover a lone
+  // tail output, a tail with no full 4-block, exact 4-blocks, and a
+  // 4-block plus tails.
+  for (const int out : {1, 3, 4, 5, 17}) {
+    tfm::Linear lin(21, out, rng);
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 21}, rng, 1.0);
+    (void)lin.calibrate(x);
+    const QuantParams in_qp{x.amax() / 127.0, 8, true};
+    (void)lin.freeze(in_qp, tfm::QuantPolicy{});
+    const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+    const std::string what = "Linear int out=" + std::to_string(out);
+    expect_backend_invariant([&] { return lin.forward_int(qx, nullptr); },
+                             what.c_str());
+  }
+}
+
+struct ConvCase {
+  int in_ch, out_ch, kernel, stride, pad;
+  bool depthwise;
+  int h, w;
+};
+
+/// Builds `c` with seeded weights, calibrates and freezes it on a seeded
+/// input, and checks its integer forward under every backend — once
+/// without a workspace and once through `ws`, which hands the lowering
+/// scratch buffers earlier cases left dirty.
+void expect_conv_backend_invariant(const ConvCase& c, Rng& rng,
+                                   tfm::Workspace& ws) {
+  tfm::Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.pad, rng,
+                   c.depthwise);
+  tfm::Tensor x =
+      tfm::Tensor::randn(tfm::Shape{c.in_ch, c.h, c.w}, rng, 1.0);
+  (void)conv.calibrate(x);
+  const QuantParams qp{x.amax() / 127.0, 8, true};
+  (void)conv.freeze(qp, tfm::QuantPolicy{});
+  const tfm::QTensor qx = tfm::QTensor::quantize(x, qp);
+  const std::string what =
+      std::string(c.depthwise ? "depthwise" : "dense") + " Conv2d int in=" +
+      std::to_string(c.in_ch) + " out=" + std::to_string(c.out_ch) +
+      " k=" + std::to_string(c.kernel) + " s=" + std::to_string(c.stride) +
+      " p=" + std::to_string(c.pad) + " " + std::to_string(c.h) + "x" +
+      std::to_string(c.w);
+  expect_backend_invariant([&] { return conv.forward_int(qx, nullptr); },
+                           what.c_str());
+  expect_backend_invariant([&] { return conv.forward_int(qx, nullptr, &ws); },
+                           what.c_str());
+}
+
+/// Every Conv2d shape of the default SegformerB0Like and EfficientViTB0Like
+/// (the serving models), derived from their configs.
+std::vector<ConvCase> default_model_convs() {
+  std::vector<ConvCase> cases;
+  const tfm::SegformerConfig seg;
+  int side = seg.image_size;
+  int in_ch = seg.in_channels;
+  for (std::size_t s = 0; s < 4; ++s) {
+    const int dim = seg.dims[s];
+    if (s == 0) {
+      cases.push_back({in_ch, dim, 7, 4, 3, false, side, side});
+      side /= 4;
+    } else {
+      cases.push_back({in_ch, dim, 3, 2, 1, false, side, side});
+      side /= 2;
+    }
+    const int sr = seg.sr_ratios[s];
+    if (sr > 1) cases.push_back({dim, dim, sr, sr, 0, false, side, side});
+    const int hidden = dim * seg.mlp_ratio;
+    cases.push_back({hidden, hidden, 3, 1, 1, true, side, side});
+    in_ch = dim;
+  }
+  const tfm::EfficientViTConfig ev;
+  const auto& w = ev.widths;
+  side = ev.image_size;
+  cases.push_back({ev.in_channels, w[0], 3, 2, 1, false, side, side});
+  side /= 2;
+  // MbConv: 1x1 expand, 3x3 depthwise (block stride), 1x1 project.
+  auto mbconv = [&](int in, int out, int stride) {
+    const int hidden = in * ev.expand;
+    cases.push_back({in, hidden, 1, 1, 0, false, side, side});
+    cases.push_back({hidden, hidden, 3, stride, 1, true, side, side});
+    side /= stride;
+    cases.push_back({hidden, out, 1, 1, 0, false, side, side});
+  };
+  mbconv(w[0], w[1], 2);
+  mbconv(w[1], w[2], 2);
+  mbconv(w[2], w[2], 1);  // stage 3 (and the EViT-3 FFN, same shape)
+  mbconv(w[2], w[3], 2);
+  mbconv(w[3], w[3], 1);  // EViT-4 FFN
+  side *= 2;              // multi-scale head runs at H/8
+  cases.push_back({w[2] + w[3], ev.head_dim, 1, 1, 0, false, side, side});
+  cases.push_back({ev.head_dim, ev.num_classes, 1, 1, 0, false, side, side});
+  return cases;
 }
 
 TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
-  // Pointwise conv rides the channel-axpy fast path; the 3x3 conv stays on
-  // the general loop — both must be backend-invariant.
-  tfm::Conv2d pointwise(5, 7, 1, 1, 0, rng);
-  tfm::Conv2d general(4, 6, 3, 1, 1, rng);
-  tfm::Tensor xp = tfm::Tensor::randn(tfm::Shape{5, 9, 9}, rng, 1.0);
-  tfm::Tensor xg = tfm::Tensor::randn(tfm::Shape{4, 9, 9}, rng, 1.0);
-  (void)pointwise.calibrate(xp);
-  (void)general.calibrate(xg);
-  const QuantParams qp_p{xp.amax() / 127.0, 8, true};
-  const QuantParams qp_g{xg.amax() / 127.0, 8, true};
-  (void)pointwise.freeze(qp_p, tfm::QuantPolicy{});
-  (void)general.freeze(qp_g, tfm::QuantPolicy{});
-  const tfm::QTensor qxp = tfm::QTensor::quantize(xp, qp_p);
-  const tfm::QTensor qxg = tfm::QTensor::quantize(xg, qp_g);
-  expect_backend_invariant(
-      [&] { return pointwise.forward_int(qxp, nullptr); }, "Conv2d 1x1 int");
-  expect_backend_invariant(
-      [&] { return general.forward_int(qxg, nullptr); }, "Conv2d 3x3 int");
+  tfm::Workspace ws;
+  // Seeded sweep over the lowering's edge cases: kernels 1-7, strides 1-4,
+  // padding 0..k (wider than the kernel's reach included), odd H != W, and
+  // channel counts that are not multiples of 4 or 8, so GEMM output tails,
+  // im2col zero rows and empty depthwise tap ranges all occur.
+  const std::vector<int> channels = {1, 2, 3, 5, 6, 7, 9, 13};
+  for (int trial = 0; trial < 120; ++trial) {
+    ConvCase c;
+    c.kernel = static_cast<int>(rng.uniform_int(1, 7));
+    c.stride = static_cast<int>(rng.uniform_int(1, 4));
+    c.pad = static_cast<int>(rng.uniform_int(0, c.kernel));
+    c.depthwise = trial % 2 == 1;
+    c.in_ch = channels[rng.index(channels.size())];
+    c.out_ch = c.depthwise ? c.in_ch : channels[rng.index(channels.size())];
+    const int min_side = std::max(1, c.kernel - 2 * c.pad);
+    c.h = (min_side + static_cast<int>(rng.uniform_int(0, 10))) | 1;
+    c.w = (min_side + static_cast<int>(rng.uniform_int(0, 10))) | 1;
+    if (c.w == c.h) c.w += 2;
+    expect_conv_backend_invariant(c, rng, ws);
+  }
+  for (const ConvCase& c : default_model_convs()) {
+    expect_conv_backend_invariant(c, rng, ws);
+  }
 }
 
 TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {

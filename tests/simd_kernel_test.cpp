@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,55 @@ TEST(SimdRowKernelDifferential, DotProductMatchesScalarReference) {
                   backend->ops.dot_i32_i8(a.data() + offset, w.data() + offset,
                                           len))
             << backend->name << " len=" << len << " offset=" << offset;
+      }
+    }
+  }
+}
+
+TEST(SimdRowKernelDifferential, Dot4MatchesFourScalarDots) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  Rng rng(0xD074);
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.dot4_i32_i8 == nullptr) continue;
+    for (std::size_t len = 0; len <= 67; ++len) {
+      for (std::size_t offset = 0; offset <= 3; ++offset) {
+        // Row stride not a multiple of 8, so rows 1-3 start misaligned too.
+        const std::size_t stride = len + offset + 5;
+        std::vector<std::int32_t> a(len + offset + 8, 0);
+        std::vector<std::int8_t> w(4 * stride + offset + 8, 0);
+        for (std::int32_t& v : a) {
+          v = static_cast<std::int32_t>(rng.uniform_int(kMin, kMax));
+        }
+        for (std::int8_t& v : w) {
+          v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        }
+        // INT32_MIN/MAX codes against -128/127 weights, at the first
+        // element (vector body) and the last (tail once len % 4 != 0).
+        if (len >= 2) {
+          a[offset] = kMin;
+          a[offset + len - 1] = kMax;
+          for (std::size_t r = 0; r < 4; ++r) {
+            w[offset + r * stride] = r % 2 == 0 ? -128 : 127;
+            w[offset + r * stride + len - 1] = r % 2 == 0 ? 127 : -128;
+          }
+        }
+        std::int64_t expected[4] = {0, 0, 0, 0};
+        for (std::size_t r = 0; r < 4; ++r) {
+          for (std::size_t i = 0; i < len; ++i) {
+            expected[r] += static_cast<std::int64_t>(a[offset + i]) *
+                           w[offset + r * stride + i];
+          }
+        }
+        std::int64_t got[4] = {-1, -1, -1, -1};
+        backend->ops.dot4_i32_i8(a.data() + offset, w.data() + offset, stride,
+                                 len, got);
+        for (std::size_t r = 0; r < 4; ++r) {
+          EXPECT_EQ(expected[r], got[r]) << backend->name << " len=" << len
+                                         << " offset=" << offset << " row=" << r;
+        }
       }
     }
   }

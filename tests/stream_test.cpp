@@ -432,15 +432,28 @@ TEST(StreamClose, CancelPendingFailsUndeliveredFramesButFinishesStarted) {
   std::lock_guard<std::mutex> lock(ledger.mutex);
   // In-order exactly-once still holds across the cancellation: frame 0
   // (already on the lane) finished normally; every other admitted frame
-  // was cancelled, never served.
+  // was dropped, never served. While the closer thread starts, the probes
+  // can overfill the ring, and kDropOldest then supersedes the oldest
+  // pending frames: exactly one run from frame 1 on, one frame per counted
+  // ring displacement. The cancel sweep took every later frame, including
+  // the newest, which nothing could displace.
   ASSERT_EQ(ledger.delivered, tickets);
   EXPECT_EQ(ledger.results.size(), 1U);
   EXPECT_EQ(ledger.results.at(tickets[0]),
             toy_forward(frame_image(0), 5).data());
-  for (std::size_t i = 1; i < tickets.size(); ++i) {
-    EXPECT_EQ(ledger.drops.at(tickets[i]), ServingErrorCode::kCancelled);
-  }
   const Server::Stats stats = server.stats();
+  std::size_t superseded = 0;
+  while (1 + superseded < tickets.size() &&
+         ledger.drops.at(tickets[1 + superseded]) ==
+             ServingErrorCode::kFrameSuperseded) {
+    ++superseded;
+  }
+  EXPECT_EQ(superseded, stats.frames_dropped);
+  EXPECT_EQ(ledger.drops.at(tickets.back()), ServingErrorCode::kCancelled);
+  for (std::size_t i = 1 + superseded; i < tickets.size(); ++i) {
+    EXPECT_EQ(ledger.drops.at(tickets[i]), ServingErrorCode::kCancelled)
+        << "frame " << i;
+  }
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.streams_open, 0U);
 }
