@@ -4,11 +4,9 @@
 // w/ RM. See DESIGN.md §3 for the substitution rationale.
 //
 // Env knobs: GQA_TRAIN_SCENES (default 256), GQA_EVAL_SCENES (24),
-//            GQA_PROBE_EPOCHS (30), GQA_NUM_THREADS (lanes for mIoU
-//            evaluation; 0 = hardware concurrency, bit-identical to
-//            serial), GQA_SCENE_PARALLEL (default on: scenes stream
-//            through the batched InferenceEngine; off = legacy per-forward
-//            threading).
+//            GQA_PROBE_EPOCHS (30), GQA_NUM_THREADS (lanes of the
+//            InferenceEngine the eval scenes stream through; 0 = hardware
+//            concurrency, bit-identical to serial).
 #include "bench_util.h"
 #include "eval/segtask.h"
 
@@ -20,7 +18,6 @@ int main() {
   options.eval_scenes = static_cast<int>(env_int("GQA_EVAL_SCENES", 24));
   options.probe_epochs = static_cast<int>(env_int("GQA_PROBE_EPOCHS", 30));
   options.num_threads = static_cast<int>(env_int("GQA_NUM_THREADS", 1));
-  options.scene_parallel = env_flag("GQA_SCENE_PARALLEL", true);
 
   std::printf("== Table 4: Segformer-B0-like mIoU (synthetic Cityscapes) ==\n");
   Timer timer;

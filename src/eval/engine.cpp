@@ -5,6 +5,26 @@
 
 namespace gqa {
 
+namespace {
+
+/// Image-level fan-out: runs fn(i, ws) for every i in [0, count) in
+/// contiguous chunks across the pool, each chunk leasing one Workspace from
+/// `workspaces` so scratch persists across dispatches. fn must be
+/// independent per index and write only out[i]; results are then
+/// bit-identical to a serial loop at any lane count.
+template <typename Out, typename Fn>
+std::vector<Out> ws_batch(std::size_t count, ThreadPool* pool,
+                          tfm::WorkspacePool& workspaces, const Fn& fn) {
+  std::vector<Out> out(count);
+  pooled_for_chunks(pool, count, [&](std::size_t lo, std::size_t hi) {
+    LaneLease lease(workspaces);  // returned even if fn throws
+    for (std::size_t i = lo; i < hi; ++i) out[i] = fn(i, lease.workspace());
+  });
+  return out;
+}
+
+}  // namespace
+
 InferenceEngine::InferenceEngine(EngineOptions options) : options_(options) {
   GQA_EXPECTS(options.num_threads >= 0);
   if (options.num_threads >= 1) {
@@ -32,10 +52,9 @@ void InferenceEngine::maybe_warm(const tfm::NonlinearProvider& nl) const {
 template <typename ModelT>
 std::vector<tfm::Tensor> InferenceEngine::forward_fp(
     const ModelT& model, std::span<const tfm::Tensor> images) const {
-  return ws_batch<tfm::Tensor>(images.size(), pool_, &workspaces_,
+  return ws_batch<tfm::Tensor>(images.size(), pool_, workspaces_,
                                [&](std::size_t i, tfm::Workspace* ws) {
-                                 return model.forward_fp(images[i], nullptr,
-                                                         ws);
+                                 return model.forward_fp(images[i], ws);
                                });
 }
 
@@ -44,7 +63,7 @@ std::vector<tfm::QTensor> InferenceEngine::forward_int(
     const ModelT& model, std::span<const tfm::Tensor> images,
     const tfm::NonlinearProvider& nl) const {
   maybe_warm(nl);
-  return ws_batch<tfm::QTensor>(images.size(), pool_, &workspaces_,
+  return ws_batch<tfm::QTensor>(images.size(), pool_, workspaces_,
                                 [&](std::size_t i, tfm::Workspace* ws) {
                                   return model.forward_int(images[i], nl,
                                                            nullptr, ws);
@@ -55,9 +74,9 @@ template <typename ModelT>
 std::vector<std::vector<int>> InferenceEngine::labels_fp(
     const ModelT& model, std::span<const tfm::Tensor> images) const {
   return ws_batch<std::vector<int>>(
-      images.size(), pool_, &workspaces_,
+      images.size(), pool_, workspaces_,
       [&](std::size_t i, tfm::Workspace* ws) {
-        tfm::Tensor logits = model.forward_fp(images[i], nullptr, ws);
+        tfm::Tensor logits = model.forward_fp(images[i], ws);
         std::vector<int> labels = ModelT::argmax_labels(logits);
         ws->release(std::move(logits));
         return labels;
@@ -70,7 +89,7 @@ std::vector<std::vector<int>> InferenceEngine::labels_int(
     const tfm::NonlinearProvider& nl) const {
   maybe_warm(nl);
   return ws_batch<std::vector<int>>(
-      images.size(), pool_, &workspaces_,
+      images.size(), pool_, workspaces_,
       [&](std::size_t i, tfm::Workspace* ws) {
         tfm::QTensor logits = model.forward_int(images[i], nl, nullptr, ws);
         std::vector<int> labels = ModelT::argmax_labels(logits);

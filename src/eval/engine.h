@@ -14,8 +14,8 @@
 // each image's forward is the unthreaded reference computation; only the
 // assignment of images to lanes varies.
 //
-// The per-forward ThreadPool* path on the models remains available for
-// single-image latency; the engine is for throughput, and the async
+// A model forward has no intra-op threading, so single-image latency is
+// the serial forward itself; the engine is for throughput, and the async
 // submit/callback front-end over the same shape is gqa::Server
 // (eval/server.h) — engines and servers co-serve on the process pool
 // (jobs serialize; a server's continuous service span releases the pool

@@ -25,16 +25,9 @@ SegTask<ModelT>::SegTask(ModelT model, int label_stride,
   GQA_EXPECTS(options.calib_scenes >= 1 &&
               options.calib_scenes <= options.train_scenes);
   GQA_EXPECTS(options.num_threads >= 0);
-  if (options.scene_parallel) {
-    EngineOptions engine_options;
-    engine_options.num_threads = options.num_threads;
-    engine_ = std::make_unique<InferenceEngine>(engine_options);
-  } else if (options.num_threads == 0) {
-    pool_ = &global_pool();  // persistent: no per-task spawn/join
-  } else if (options.num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    pool_ = owned_pool_.get();
-  }
+  EngineOptions engine_options;
+  engine_options.num_threads = options.num_threads;
+  engine_ = std::make_unique<InferenceEngine>(engine_options);
 
   const std::vector<LabeledScene> train =
       make_scene_set(options.scene, options.train_scenes, options.train_seed);
@@ -77,17 +70,10 @@ static_assert(kHasOwnArgmax<tfm::SegformerB0Like> &&
 template <typename ModelT>
 double SegTask<ModelT>::miou_fp() const {
   ConfusionMatrix cm(options_.scene.num_classes);
-  if (engine_) {
-    const std::vector<std::vector<int>> predicted =
-        engine_->labels_fp(model_, eval_images_);
-    for (std::size_t i = 0; i < predicted.size(); ++i) {
-      cm.add(eval_labels_[i], predicted[i]);
-    }
-    return cm.mean_iou();
-  }
-  for (std::size_t i = 0; i < eval_images_.size(); ++i) {
-    cm.add(eval_labels_[i],
-           ModelT::argmax_labels(model_.forward_fp(eval_images_[i], pool_)));
+  const std::vector<std::vector<int>> predicted =
+      engine_->labels_fp(model_, eval_images_);
+  for (std::size_t i = 0; i < predicted.size(); ++i) {
+    cm.add(eval_labels_[i], predicted[i]);
   }
   return cm.mean_iou();
 }
@@ -95,23 +81,11 @@ double SegTask<ModelT>::miou_fp() const {
 template <typename ModelT>
 double SegTask<ModelT>::miou_int(const tfm::NonlinearProvider& nl) const {
   ConfusionMatrix cm(options_.scene.num_classes);
-  if (engine_) {
-    // The engine pre-warms the provider before dispatch.
-    const std::vector<std::vector<int>> predicted =
-        engine_->labels_int(model_, eval_images_, nl);
-    for (std::size_t i = 0; i < predicted.size(); ++i) {
-      cm.add(eval_labels_[i], predicted[i]);
-    }
-    return cm.mean_iou();
-  }
-  // Pre-build the pwl units before the threaded forwards so the hot paths
-  // hit the lock-free warmed tier (misses stay correct, just slower).
-  nl.warm_up({Op::kExp, Op::kGelu, Op::kHswish, Op::kDiv, Op::kRsqrt},
-             tfm::NonlinearProvider::deployment_scale_exps());
-  for (std::size_t i = 0; i < eval_images_.size(); ++i) {
-    cm.add(eval_labels_[i],
-           ModelT::argmax_labels(
-               model_.forward_int(eval_images_[i], nl, pool_)));
+  // The engine pre-warms the provider before dispatch.
+  const std::vector<std::vector<int>> predicted =
+      engine_->labels_int(model_, eval_images_, nl);
+  for (std::size_t i = 0; i < predicted.size(); ++i) {
+    cm.add(eval_labels_[i], predicted[i]);
   }
   return cm.mean_iou();
 }

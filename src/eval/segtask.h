@@ -31,15 +31,11 @@ struct SegTaskOptions {
   SceneOptions scene;
   std::uint64_t train_seed = 0x7124;
   std::uint64_t eval_seed = 0xE7A1;
-  /// Lanes for mIoU evaluation (bit-identical to serial at any count).
+  /// Lanes of the InferenceEngine the eval scenes stream through (one
+  /// serial forward per image; bit-identical to serial at any count).
   /// 0 = the persistent process-wide pool (GQA_NUM_THREADS-sized); >= 1
   /// gives the task a private pool. Training/calibration stay serial.
   int num_threads = 1;
-  /// Default serving shape: eval scenes stream through the batched
-  /// InferenceEngine (one serial forward per image, workspace reuse,
-  /// image-level parallelism). When false, the legacy per-forward path
-  /// threads each forward internally instead (single-image latency shape).
-  bool scene_parallel = true;
 };
 
 /// One Table 4/5 row: which ops are replaced, per-method mIoU.
@@ -71,8 +67,6 @@ class SegTask {
   std::vector<tfm::Tensor> eval_images_;  ///< one per eval scene (batch input)
   std::vector<std::vector<int>> eval_labels_;
   std::unique_ptr<InferenceEngine> engine_;  ///< scene-batched serving path
-  ThreadPool* pool_ = nullptr;  ///< legacy per-forward path lanes
-  std::unique_ptr<ThreadPool> owned_pool_;  ///< backs pool_ when private
 };
 
 using SegformerTask = SegTask<tfm::SegformerB0Like>;

@@ -660,9 +660,9 @@ Server::Slot Server::serve_request(const Request& request,
         count_injected_fault();
         fault::throw_injected(fault::Point::kBackend);
       }
-      // The serial deployment forward: no intra-forward pool, zero-filled
-      // workspace acquires — bit-identical to a serial per-image loop (and
-      // to itself across retries).
+      // The serial deployment forward with zero-filled workspace acquires:
+      // bit-identical to a serial per-image loop (and to itself across
+      // retries).
       filled.result = forward(request.image, workspace);
       filled.error = nullptr;
       return filled;

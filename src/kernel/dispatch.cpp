@@ -31,9 +31,6 @@ const std::vector<const KernelBackend*>& registry() {
 #if defined(__x86_64__) || defined(_M_X64)
     v.push_back(&kAvx2Backend);
 #endif
-#if defined(__ARM_NEON)
-    v.push_back(&kNeonBackend);
-#endif
     v.push_back(&kScalarBackend);  // always registered, always last
     return v;
   }();
@@ -62,7 +59,7 @@ const KernelBackend& resolve_backend(const std::string& name) {
     }
   }
   GQA_EXPECTS_MSG(false, "GQA_KERNEL_BACKEND names unknown backend '" + name +
-                             "' (registered: scalar|avx2|neon, or auto)");
+                             "' (registered: scalar|avx2, or auto)");
   return kScalarBackend;  // unreachable
 }
 

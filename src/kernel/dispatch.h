@@ -6,8 +6,8 @@
 // the loops that have always been there.
 //
 // Selection happens once, at first use: the highest-priority backend whose
-// capability probe (cpuid / HWCAP) passes wins, unless GQA_KERNEL_BACKEND
-// pins a specific backend by name (`scalar`, `avx2`, `neon`, or `auto`).
+// capability probe (cpuid) passes wins, unless GQA_KERNEL_BACKEND
+// pins a specific backend by name (`scalar`, `avx2`, or `auto`).
 // Naming a backend the host cannot run fails loudly (ContractViolation) —
 // a silent scalar fallback would make "I benchmarked AVX2" a lie.
 //
@@ -118,10 +118,6 @@ struct KernelBackend {
 /// AVX2 backend descriptor, defined in dispatch_avx2.cpp (the only TU
 /// compiled with -mavx2; the CPUID probe gates execution at runtime).
 extern const KernelBackend kAvx2Backend;
-#endif
-#if defined(__ARM_NEON)
-/// NEON registration stub, defined in dispatch_neon.cpp.
-extern const KernelBackend kNeonBackend;
 #endif
 
 /// All compiled-in backends, highest dispatch priority first; `scalar` is

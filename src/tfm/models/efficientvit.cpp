@@ -92,52 +92,51 @@ Tensor concat_maps(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 Tensor EfficientViTB0Like::penultimate_fp(const Tensor& image,
-                                          ThreadPool* pool,
                                           Workspace* ws) const {
-  Tensor stem = stem_->forward_fp(image, pool, ws);
-  Tensor x = stem_act_.forward_fp(stem, pool, ws);
+  Tensor stem = stem_->forward_fp(image, ws);
+  Tensor x = stem_act_.forward_fp(stem, ws);
   ws_release(ws, std::move(stem));
-  Tensor t = stage1_->forward_fp(x, pool, ws);
+  Tensor t = stage1_->forward_fp(x, ws);
   ws_release(ws, std::move(x));
-  x = stage2_->forward_fp(t, pool, ws);
+  x = stage2_->forward_fp(t, ws);
   ws_release(ws, std::move(t));
-  t = stage3_->forward_fp(x, pool, ws);
+  t = stage3_->forward_fp(x, ws);
   ws_release(ws, std::move(x));
   x = std::move(t);
   {
     Tensor a = attn_tokens(
-        [this, pool, ws](const Tensor& tk) {
-          return evit3_.attn->forward_fp(tk, pool, ws);
+        [this, ws](const Tensor& tk) {
+          return evit3_.attn->forward_fp(tk, ws);
         },
         x, ws);
-    Tensor sum = evit3_.add.forward_fp(x, a, pool, ws);
+    Tensor sum = evit3_.add.forward_fp(x, a, ws);
     ws_release(ws, std::move(a));
     ws_release(ws, std::move(x));
-    x = evit3_.ffn->forward_fp(sum, pool, ws);
+    x = evit3_.ffn->forward_fp(sum, ws);
     ws_release(ws, std::move(sum));
   }
   const Tensor f3 = x;
-  t = stage4_->forward_fp(x, pool, ws);
+  t = stage4_->forward_fp(x, ws);
   ws_release(ws, std::move(x));
   x = std::move(t);
   {
     Tensor a = attn_tokens(
-        [this, pool, ws](const Tensor& tk) {
-          return evit4_.attn->forward_fp(tk, pool, ws);
+        [this, ws](const Tensor& tk) {
+          return evit4_.attn->forward_fp(tk, ws);
         },
         x, ws);
-    Tensor sum = evit4_.add.forward_fp(x, a, pool, ws);
+    Tensor sum = evit4_.add.forward_fp(x, a, ws);
     ws_release(ws, std::move(a));
     ws_release(ws, std::move(x));
-    x = evit4_.ffn->forward_fp(sum, pool, ws);
+    x = evit4_.ffn->forward_fp(sum, ws);
     ws_release(ws, std::move(sum));
   }
   Tensor up = upsample2x(x, ws);
   ws_release(ws, std::move(x));
   const Tensor fused = concat_maps(f3, up);
   ws_release(ws, std::move(up));
-  Tensor conv = head_conv_->forward_fp(fused, pool, ws);
-  Tensor feat = head_act_.forward_fp(conv, pool, ws);
+  Tensor conv = head_conv_->forward_fp(fused, ws);
+  Tensor feat = head_act_.forward_fp(conv, ws);
   ws_release(ws, std::move(conv));
   Tensor out = to_tokens(feat, ws);
   ws_release(ws, std::move(feat));
@@ -145,12 +144,12 @@ Tensor EfficientViTB0Like::penultimate_fp(const Tensor& image,
 }
 
 Tensor EfficientViTB0Like::forward_fp(const Tensor& image,
-                                      ThreadPool* pool, Workspace* ws) const {
-  Tensor tokens = penultimate_fp(image, pool, ws);
+                                      Workspace* ws) const {
+  Tensor tokens = penultimate_fp(image, ws);
   const int side = config_.image_size / 8;
   Tensor map = from_tokens(tokens, side, side, ws);
   ws_release(ws, std::move(tokens));
-  Tensor out = classifier_->forward_fp(map, pool);
+  Tensor out = classifier_->forward_fp(map, ws);
   ws_release(ws, std::move(map));
   return out;
 }
@@ -232,46 +231,46 @@ void EfficientViTB0Like::freeze() {
 
 QTensor EfficientViTB0Like::forward_int(const Tensor& image,
                                         const NonlinearProvider& nl,
-                                        ThreadPool* pool, Workspace* ws) const {
+                                        std::nullptr_t, Workspace* ws) const {
   GQA_EXPECTS_MSG(frozen_, "forward_int() requires freeze()");
   QTensor x = QTensor::quantize(image, input_qp_);
-  QTensor stem = stem_->forward_int(x, pool, ws);
+  QTensor stem = stem_->forward_int(x, ws);
   ws_release(ws, std::move(x));
-  x = stem_act_.forward_int(stem, nl, pool, ws);
+  x = stem_act_.forward_int(stem, nl, ws);
   ws_release(ws, std::move(stem));
-  QTensor t = stage1_->forward_int(x, nl, pool, ws);
+  QTensor t = stage1_->forward_int(x, nl, ws);
   ws_release(ws, std::move(x));
-  x = stage2_->forward_int(t, nl, pool, ws);
+  x = stage2_->forward_int(t, nl, ws);
   ws_release(ws, std::move(t));
-  t = stage3_->forward_int(x, nl, pool, ws);
+  t = stage3_->forward_int(x, nl, ws);
   ws_release(ws, std::move(x));
   x = std::move(t);
   {
     QTensor a = attn_tokens(
-        [this, &nl, pool, ws](const QTensor& tk) {
-          return evit3_.attn->forward_int(tk, nl, pool, ws);
+        [this, &nl, ws](const QTensor& tk) {
+          return evit3_.attn->forward_int(tk, nl, ws);
         },
         x, ws);
-    QTensor sum = evit3_.add.forward_int(x, a, pool, ws);
+    QTensor sum = evit3_.add.forward_int(x, a, ws);
     ws_release(ws, std::move(a));
     ws_release(ws, std::move(x));
-    x = evit3_.ffn->forward_int(sum, nl, pool, ws);
+    x = evit3_.ffn->forward_int(sum, nl, ws);
     ws_release(ws, std::move(sum));
   }
   const QTensor f3 = x;
-  t = stage4_->forward_int(x, nl, pool, ws);
+  t = stage4_->forward_int(x, nl, ws);
   ws_release(ws, std::move(x));
   x = std::move(t);
   {
     QTensor a = attn_tokens(
-        [this, &nl, pool, ws](const QTensor& tk) {
-          return evit4_.attn->forward_int(tk, nl, pool, ws);
+        [this, &nl, ws](const QTensor& tk) {
+          return evit4_.attn->forward_int(tk, nl, ws);
         },
         x, ws);
-    QTensor sum = evit4_.add.forward_int(x, a, pool, ws);
+    QTensor sum = evit4_.add.forward_int(x, a, ws);
     ws_release(ws, std::move(a));
     ws_release(ws, std::move(x));
-    x = evit4_.ffn->forward_int(sum, nl, pool, ws);
+    x = evit4_.ffn->forward_int(sum, nl, ws);
     ws_release(ws, std::move(sum));
   }
   // Integer concat on the shared fuse scale.
@@ -293,31 +292,13 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
         fused.at(c3 + c, yy, xx) =
             static_cast<std::int32_t>(rq_f4_.apply(f4_up.at(c, yy, xx)));
   ws_release(ws, std::move(f4_up));
-  QTensor conv = head_conv_->forward_int(fused, pool, ws);
+  QTensor conv = head_conv_->forward_int(fused, ws);
   ws_release(ws, std::move(fused));
-  QTensor feat = head_act_.forward_int(conv, nl, pool, ws);
+  QTensor feat = head_act_.forward_int(conv, nl, ws);
   ws_release(ws, std::move(conv));
-  QTensor out = classifier_->forward_int(feat, pool);
+  QTensor out = classifier_->forward_int(feat, ws);
   ws_release(ws, std::move(feat));
   return out;
-}
-
-std::vector<Tensor> EfficientViTB0Like::forward_fp_batch(
-    std::span<const Tensor> images, ThreadPool* pool,
-    WorkspacePool* workspaces) const {
-  return ws_batch<Tensor>(images.size(), pool, workspaces,
-                          [&](std::size_t i, Workspace* ws) {
-                            return forward_fp(images[i], nullptr, ws);
-                          });
-}
-
-std::vector<QTensor> EfficientViTB0Like::forward_int_batch(
-    std::span<const Tensor> images, const NonlinearProvider& nl,
-    ThreadPool* pool, WorkspacePool* workspaces) const {
-  return ws_batch<QTensor>(images.size(), pool, workspaces,
-                           [&](std::size_t i, Workspace* ws) {
-                             return forward_int(images[i], nl, nullptr, ws);
-                           });
 }
 
 std::vector<int> EfficientViTB0Like::argmax_labels(const Tensor& logits) {

@@ -6,8 +6,8 @@
 // non-linear operators are HSWISH and DIV — exactly the Table 5 rows.
 #pragma once
 
+#include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "tfm/modules.h"
@@ -28,17 +28,14 @@ class EfficientViTB0Like {
  public:
   explicit EfficientViTB0Like(const EfficientViTConfig& config = {});
 
-  /// FP32 logits {num_classes, H/8, W/8}. A non-null pool threads every
-  /// module forward (bit-identical to serial at any thread count); a
-  /// non-null workspace reuses layer-output storage across calls
-  /// (bit-identical, one workspace per thread).
+  /// FP32 logits {num_classes, H/8, W/8}. A non-null workspace reuses
+  /// layer-output storage across calls (bit-identical, one workspace per
+  /// thread).
   [[nodiscard]] Tensor forward_fp(const Tensor& image,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
 
   /// FP32 penultimate features {H/8·W/8, head_dim} (post-HSWISH tokens).
   [[nodiscard]] Tensor penultimate_fp(const Tensor& image,
-                                      ThreadPool* pool = nullptr,
                                       Workspace* ws = nullptr) const;
 
   /// Trains the final classifier (softmax linear probe) on labels at
@@ -49,22 +46,12 @@ class EfficientViTB0Like {
 
   void calibrate(const Tensor& image);
   void freeze();
-  /// A non-null pool fans channels/rows out across its lanes; the provider
-  /// must tolerate concurrent use (it does).
+  /// Integer-only logits; the workspace works as in forward_fp.
   [[nodiscard]] QTensor forward_int(const Tensor& image,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
+                                    // perfbench/src/serving.cpp passes nullptr
+                                    std::nullptr_t = nullptr,
                                     Workspace* ws = nullptr) const;
-
-  /// Scene-batched entry points: one *serial* forward per image fanned out
-  /// across the pool, each chunk with its own Workspace. Bit-identical to a
-  /// serial per-image loop (see SegformerB0Like for the contract).
-  [[nodiscard]] std::vector<Tensor> forward_fp_batch(
-      std::span<const Tensor> images, ThreadPool* pool = nullptr,
-      WorkspacePool* workspaces = nullptr) const;
-  [[nodiscard]] std::vector<QTensor> forward_int_batch(
-      std::span<const Tensor> images, const NonlinearProvider& nl,
-      ThreadPool* pool = nullptr, WorkspacePool* workspaces = nullptr) const;
 
   /// Per-pixel argmax labels of a logits map {C, h, w}. Every model exposes
   /// its own static so generic harnesses (SegTask) can write

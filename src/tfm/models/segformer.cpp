@@ -84,37 +84,37 @@ SegformerB0Like::SegformerB0Like(const SegformerConfig& config)
 }
 
 Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
-                                       ThreadPool* pool, Workspace* ws) const {
+                                       Workspace* ws) const {
   GQA_EXPECTS(image.shape().rank() == 3 &&
               image.shape()[0] == config_.in_channels);
   Tensor x = image;
   std::vector<Tensor> features;
   for (const Stage& stage : stages_) {
-    Tensor map = stage.patch_embed->forward_fp(x, pool, ws);
+    Tensor map = stage.patch_embed->forward_fp(x, ws);
     if (&stage != &stages_.front()) ws_release(ws, std::move(x));
     const int h = map.shape()[1];
     const int w = map.shape()[2];
     Tensor map_tokens = to_tokens(map, ws);
     ws_release(ws, std::move(map));
-    Tensor tokens = stage.embed_norm->forward_fp(map_tokens, pool, ws);
+    Tensor tokens = stage.embed_norm->forward_fp(map_tokens, ws);
     ws_release(ws, std::move(map_tokens));
     for (const Block& block : stage.blocks) {
-      Tensor n1 = block.ln1->forward_fp(tokens, pool, ws);
-      Tensor a = block.attn->forward_fp(n1, h, w, pool, ws);
+      Tensor n1 = block.ln1->forward_fp(tokens, ws);
+      Tensor a = block.attn->forward_fp(n1, h, w, ws);
       ws_release(ws, std::move(n1));
-      Tensor sum1 = block.add1.forward_fp(tokens, a, pool, ws);
+      Tensor sum1 = block.add1.forward_fp(tokens, a, ws);
       ws_release(ws, std::move(a));
       ws_release(ws, std::move(tokens));
       tokens = std::move(sum1);
-      Tensor n2 = block.ln2->forward_fp(tokens, pool, ws);
-      Tensor f = block.ffn->forward_fp(n2, h, w, pool, ws);
+      Tensor n2 = block.ln2->forward_fp(tokens, ws);
+      Tensor f = block.ffn->forward_fp(n2, h, w, ws);
       ws_release(ws, std::move(n2));
-      Tensor sum2 = block.add2.forward_fp(tokens, f, pool, ws);
+      Tensor sum2 = block.add2.forward_fp(tokens, f, ws);
       ws_release(ws, std::move(f));
       ws_release(ws, std::move(tokens));
       tokens = std::move(sum2);
     }
-    Tensor normed = stage.out_norm->forward_fp(tokens, pool, ws);
+    Tensor normed = stage.out_norm->forward_fp(tokens, ws);
     ws_release(ws, std::move(tokens));
     x = from_tokens(normed, h, w, ws);
     ws_release(ws, std::move(normed));
@@ -129,7 +129,7 @@ Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
     Tensor& feat = features[static_cast<std::size_t>(s)];
     Tensor feat_tokens = to_tokens(feat, ws);
     Tensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_fp(
-        feat_tokens, pool, ws);
+        feat_tokens, ws);
     ws_release(ws, std::move(feat_tokens));
     Tensor proj_map = from_tokens(proj, feat.shape()[1], feat.shape()[2], ws);
     ws_release(ws, std::move(proj));
@@ -145,17 +145,16 @@ Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
     ws_release(ws, std::move(up_tokens));
     ws_release(ws, std::move(feat));
   }
-  Tensor y = head_fuse_->forward_fp(fused, pool, ws);
+  Tensor y = head_fuse_->forward_fp(fused, ws);
   ws_release(ws, std::move(fused));
   for (float& v : y.data()) v = std::max(v, 0.0F);  // head ReLU
   return y;
 }
 
-Tensor SegformerB0Like::forward_fp(const Tensor& image,
-                                   ThreadPool* pool, Workspace* ws) const {
-  Tensor y = penultimate_fp(image, pool, ws);
+Tensor SegformerB0Like::forward_fp(const Tensor& image, Workspace* ws) const {
+  Tensor y = penultimate_fp(image, ws);
   const int side = config_.image_size / 4;
-  Tensor logits = head_classifier_->forward_fp(y, pool, ws);
+  Tensor logits = head_classifier_->forward_fp(y, ws);
   ws_release(ws, std::move(y));
   Tensor out = from_tokens(logits, side, side);
   ws_release(ws, std::move(logits));
@@ -259,36 +258,36 @@ void SegformerB0Like::freeze() {
 
 QTensor SegformerB0Like::forward_int(const Tensor& image,
                                      const NonlinearProvider& nl,
-                                     ThreadPool* pool, Workspace* ws) const {
+                                     std::nullptr_t, Workspace* ws) const {
   GQA_EXPECTS_MSG(frozen_, "forward_int() requires freeze()");
   QTensor x = QTensor::quantize(image, input_qp_);
   std::vector<QTensor> features;
   for (const Stage& stage : stages_) {
-    QTensor map = stage.patch_embed->forward_int(x, pool, ws);
+    QTensor map = stage.patch_embed->forward_int(x, ws);
     ws_release(ws, std::move(x));
     const int h = map.shape()[1];
     const int w = map.shape()[2];
     QTensor map_tokens = to_tokens(map, ws);
     ws_release(ws, std::move(map));
-    QTensor tokens = stage.embed_norm->forward_int(map_tokens, nl, pool, ws);
+    QTensor tokens = stage.embed_norm->forward_int(map_tokens, nl, ws);
     ws_release(ws, std::move(map_tokens));
     for (const Block& block : stage.blocks) {
-      QTensor n1 = block.ln1->forward_int(tokens, nl, pool, ws);
-      QTensor a = block.attn->forward_int(n1, h, w, nl, pool, ws);
+      QTensor n1 = block.ln1->forward_int(tokens, nl, ws);
+      QTensor a = block.attn->forward_int(n1, h, w, nl, ws);
       ws_release(ws, std::move(n1));
-      QTensor sum1 = block.add1.forward_int(tokens, a, pool, ws);
+      QTensor sum1 = block.add1.forward_int(tokens, a, ws);
       ws_release(ws, std::move(a));
       ws_release(ws, std::move(tokens));
       tokens = std::move(sum1);
-      QTensor n2 = block.ln2->forward_int(tokens, nl, pool, ws);
-      QTensor f = block.ffn->forward_int(n2, h, w, nl, pool, ws);
+      QTensor n2 = block.ln2->forward_int(tokens, nl, ws);
+      QTensor f = block.ffn->forward_int(n2, h, w, nl, ws);
       ws_release(ws, std::move(n2));
-      QTensor sum2 = block.add2.forward_int(tokens, f, pool, ws);
+      QTensor sum2 = block.add2.forward_int(tokens, f, ws);
       ws_release(ws, std::move(f));
       ws_release(ws, std::move(tokens));
       tokens = std::move(sum2);
     }
-    QTensor normed = stage.out_norm->forward_int(tokens, nl, pool, ws);
+    QTensor normed = stage.out_norm->forward_int(tokens, nl, ws);
     ws_release(ws, std::move(tokens));
     x = from_tokens(normed, h, w, ws);
     ws_release(ws, std::move(normed));
@@ -303,7 +302,7 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
     QTensor& feat = features[static_cast<std::size_t>(s)];
     QTensor feat_tokens = to_tokens(feat, ws);
     QTensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_int(
-        feat_tokens, pool, ws);
+        feat_tokens, ws);
     ws_release(ws, std::move(feat_tokens));
     // Requantize onto the common head scale, then upsample codes.
     QTensor aligned = ws_qtensor(ws, proj.shape(), head_qp_);
@@ -327,32 +326,14 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
     ws_release(ws, std::move(up_tokens));
     ws_release(ws, std::move(feat));
   }
-  QTensor y = head_fuse_->forward_int(fused, pool, ws);
+  QTensor y = head_fuse_->forward_int(fused, ws);
   ws_release(ws, std::move(fused));
   for (std::int32_t& v : y.data()) v = std::max(v, 0);  // integer ReLU
-  QTensor logits = head_classifier_->forward_int(y, pool, ws);
+  QTensor logits = head_classifier_->forward_int(y, ws);
   ws_release(ws, std::move(y));
   QTensor out = from_tokens(logits, oh, ow);
   ws_release(ws, std::move(logits));
   return out;
-}
-
-std::vector<Tensor> SegformerB0Like::forward_fp_batch(
-    std::span<const Tensor> images, ThreadPool* pool,
-    WorkspacePool* workspaces) const {
-  return ws_batch<Tensor>(images.size(), pool, workspaces,
-                          [&](std::size_t i, Workspace* ws) {
-                            return forward_fp(images[i], nullptr, ws);
-                          });
-}
-
-std::vector<QTensor> SegformerB0Like::forward_int_batch(
-    std::span<const Tensor> images, const NonlinearProvider& nl,
-    ThreadPool* pool, WorkspacePool* workspaces) const {
-  return ws_batch<QTensor>(images.size(), pool, workspaces,
-                           [&](std::size_t i, Workspace* ws) {
-                             return forward_int(images[i], nl, nullptr, ws);
-                           });
 }
 
 std::vector<int> SegformerB0Like::argmax_labels(const Tensor& logits) {

@@ -8,8 +8,8 @@
 // pipeline with non-linearities served by a NonlinearProvider.
 #pragma once
 
+#include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "tfm/modules.h"
@@ -33,17 +33,14 @@ class SegformerB0Like {
  public:
   explicit SegformerB0Like(const SegformerConfig& config = {});
 
-  /// FP32 logits {num_classes, H/4, W/4}. A non-null pool threads every
-  /// module forward (bit-identical to serial at any thread count); a
-  /// non-null workspace reuses layer-output storage across calls
-  /// (bit-identical, one workspace per thread).
+  /// FP32 logits {num_classes, H/4, W/4}. A non-null workspace reuses
+  /// layer-output storage across calls (bit-identical, one workspace per
+  /// thread).
   [[nodiscard]] Tensor forward_fp(const Tensor& image,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
 
   /// FP32 penultimate features: relu(fused decode tokens), {H/4·W/4, dim}.
   [[nodiscard]] Tensor penultimate_fp(const Tensor& image,
-                                      ThreadPool* pool = nullptr,
                                       Workspace* ws = nullptr) const;
 
   /// Trains the final classifier (softmax linear probe, frozen backbone)
@@ -60,25 +57,13 @@ class SegformerB0Like {
   void freeze();
 
   /// Integer-only logits; the image is quantized at the input observer's
-  /// power-of-two scale. A non-null pool fans rows/channels/heads out
-  /// across its lanes; the provider must tolerate concurrent use (it does).
+  /// power-of-two scale. A non-null workspace reuses layer-output storage
+  /// as in forward_fp.
   [[nodiscard]] QTensor forward_int(const Tensor& image,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
+                                    // perfbench/src/serving.cpp passes nullptr
+                                    std::nullptr_t = nullptr,
                                     Workspace* ws = nullptr) const;
-
-  /// Scene-batched entry points: one *serial* forward per image, fanned out
-  /// across the pool (image-level parallelism — the deployment shape for
-  /// fixed nonlinear units). Each in-flight chunk borrows a Workspace from
-  /// `workspaces` (or uses a chunk-local one), so steady-state dispatches
-  /// reuse layer storage. Results are bit-identical to calling the
-  /// per-image forward in a serial loop.
-  [[nodiscard]] std::vector<Tensor> forward_fp_batch(
-      std::span<const Tensor> images, ThreadPool* pool = nullptr,
-      WorkspacePool* workspaces = nullptr) const;
-  [[nodiscard]] std::vector<QTensor> forward_int_batch(
-      std::span<const Tensor> images, const NonlinearProvider& nl,
-      ThreadPool* pool = nullptr, WorkspacePool* workspaces = nullptr) const;
 
   /// Per-pixel argmax labels of a logits map {C, h, w}.
   [[nodiscard]] static std::vector<int> argmax_labels(const Tensor& logits);

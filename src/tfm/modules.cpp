@@ -43,22 +43,6 @@ int conv_out_size(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
-// Granularity floors for the intra-forward fan-outs: below these, the
-// per-task work cannot amortize pool dispatch and pooled_for runs inline
-// (bit-identical either way). Rows cover token matrices (per-row cost is a
-// dot-product sweep), channels cover conv output maps (heavy per channel),
-// elems cover pointwise loops.
-constexpr std::size_t kMinRowsPerLane = 8;
-constexpr std::size_t kMinChannelsPerLane = 2;
-constexpr std::size_t kMinElemsPerLane = 4096;
-
-/// Workspace handle usable inside a fan-out body: the workspace may only be
-/// touched by the calling thread, so it is forwarded only when the fan-out
-/// is guaranteed to run inline (no pool / single lane).
-Workspace* inline_ws(ThreadPool* pool, Workspace* ws) {
-  return (pool == nullptr || pool->size() <= 1) ? ws : nullptr;
-}
-
 /// True when the active backend vectorizes the integer GEMM (the 4-row
 /// block and its single-row tail). Otherwise Linear and the dense Conv2d
 /// keep their scalar loops, the oracle.
@@ -76,29 +60,25 @@ bool has_int_gemm(const kernel::KernelOps& ops) {
 void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
               std::size_t rows, std::size_t k, const std::vector<std::int8_t>& w,
               const std::vector<std::int32_t>& bias, const Requantizer& rq,
-              std::int32_t* y, std::size_t row_stride, std::size_t col_stride,
-              ThreadPool* pool) {
+              std::int32_t* y, std::size_t row_stride, std::size_t col_stride) {
   const std::size_t outs = bias.size();
-  pooled_for(
-      pool, rows,
-      [&](std::size_t i) {
-        const std::int32_t* arow = a + i * k;
-        std::int32_t* yrow = y + i * row_stride;
-        std::size_t o = 0;
-        for (; o + 4 <= outs; o += 4) {
-          std::int64_t acc[4];
-          ops.dot4_i32_i8(arow, w.data() + o * k, k, k, acc);
-          for (std::size_t r = 0; r < 4; ++r) {
-            yrow[(o + r) * col_stride] =
-                static_cast<std::int32_t>(rq.apply(bias[o + r] + acc[r]));
-          }
-        }
-        for (; o < outs; ++o) {
-          yrow[o * col_stride] = static_cast<std::int32_t>(
-              rq.apply(bias[o] + ops.dot_i32_i8(arow, w.data() + o * k, k)));
-        }
-      },
-      kMinRowsPerLane);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::int32_t* arow = a + i * k;
+    std::int32_t* yrow = y + i * row_stride;
+    std::size_t o = 0;
+    for (; o + 4 <= outs; o += 4) {
+      std::int64_t acc[4];
+      ops.dot4_i32_i8(arow, w.data() + o * k, k, k, acc);
+      for (std::size_t r = 0; r < 4; ++r) {
+        yrow[(o + r) * col_stride] =
+            static_cast<std::int32_t>(rq.apply(bias[o + r] + acc[r]));
+      }
+    }
+    for (; o < outs; ++o) {
+      yrow[o * col_stride] = static_cast<std::int32_t>(
+          rq.apply(bias[o] + ops.dot_i32_i8(arow, w.data() + o * k, k)));
+    }
+  }
 }
 
 }  // namespace
@@ -113,22 +93,17 @@ Linear::Linear(int in_features, int out_features, Rng& rng)
   b_ = Tensor::randn(Shape{out_}, rng, 0.02);
 }
 
-Tensor Linear::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
+Tensor Linear::forward_fp(const Tensor& x, Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == in_);
   const int n = x.shape()[0];
   Tensor y = ws_tensor(ws, Shape{n, out_});
-  pooled_for(
-      pool, static_cast<std::size_t>(n),
-      [&](std::size_t row) {
-        const int i = static_cast<int>(row);
-        for (int o = 0; o < out_; ++o) {
-          double acc = b_.at(o);
-          for (int k = 0; k < in_; ++k) acc += x.at(i, k) * w_.at(o, k);
-          y.at(i, o) = static_cast<float>(acc);
-        }
-      },
-      kMinRowsPerLane);
+  for (int i = 0; i < n; ++i) {
+    for (int o = 0; o < out_; ++o) {
+      double acc = b_.at(o);
+      for (int k = 0; k < in_; ++k) acc += x.at(i, k) * w_.at(o, k);
+      y.at(i, o) = static_cast<float>(acc);
+    }
+  }
   return y;
 }
 
@@ -151,8 +126,7 @@ QuantParams Linear::freeze(const QuantParams& in_qp,
   return out_qp_;
 }
 
-QTensor Linear::forward_int(const QTensor& x, ThreadPool* pool,
-                            Workspace* ws) const {
+QTensor Linear::forward_int(const QTensor& x, Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == in_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
@@ -161,23 +135,19 @@ QTensor Linear::forward_int(const QTensor& x, ThreadPool* pool,
   if (has_int_gemm(ops)) {
     int_gemm(ops, x.data().data(), static_cast<std::size_t>(n),
              static_cast<std::size_t>(in_), wq_, bq_, rq_, y.data().data(),
-             static_cast<std::size_t>(out_), 1, pool);
+             static_cast<std::size_t>(out_), 1);
     return y;
   }
-  pooled_for(
-      pool, static_cast<std::size_t>(n),
-      [&](std::size_t row) {
-        const int i = static_cast<int>(row);
-        for (int o = 0; o < out_; ++o) {
-          std::int64_t acc = bq_[static_cast<std::size_t>(o)];
-          const std::size_t wrow = static_cast<std::size_t>(o) * in_;
-          for (int k = 0; k < in_; ++k) {
-            acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
-          }
-          y.at(i, o) = static_cast<std::int32_t>(rq_.apply(acc));
-        }
-      },
-      kMinRowsPerLane);
+  for (int i = 0; i < n; ++i) {
+    for (int o = 0; o < out_; ++o) {
+      std::int64_t acc = bq_[static_cast<std::size_t>(o)];
+      const std::size_t wrow = static_cast<std::size_t>(o) * in_;
+      for (int k = 0; k < in_; ++k) {
+        acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
+      }
+      y.at(i, o) = static_cast<std::int32_t>(rq_.apply(acc));
+    }
+  }
   return y;
 }
 
@@ -200,16 +170,14 @@ Conv2d::Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad,
   b_ = Tensor::randn(Shape{out_ch_}, rng, 0.02);
 }
 
-Tensor Conv2d::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
+Tensor Conv2d::forward_fp(const Tensor& x, Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 3 && x.shape()[0] == in_ch_);
   const int h = x.shape()[1];
   const int w = x.shape()[2];
   const int oh = conv_out_size(h, kernel_, stride_, pad_);
   const int ow = conv_out_size(w, kernel_, stride_, pad_);
   Tensor y = ws_tensor(ws, Shape{out_ch_, oh, ow});
-  pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-    const int oc = static_cast<int>(ch);
+  for (int oc = 0; oc < out_ch_; ++oc) {
     const int ic_lo = depthwise_ ? oc : 0;
     const int ic_hi = depthwise_ ? oc + 1 : in_ch_;
     for (int oy = 0; oy < oh; ++oy) {
@@ -230,7 +198,7 @@ Tensor Conv2d::forward_fp(const Tensor& x, ThreadPool* pool,
         y.at(oc, oy, ox) = static_cast<float>(acc);
       }
     }
-  }, kMinChannelsPerLane);
+  }
   return y;
 }
 
@@ -253,8 +221,7 @@ QuantParams Conv2d::freeze(const QuantParams& in_qp,
   return out_qp_;
 }
 
-QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
-                            Workspace* ws) const {
+QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 3 && x.shape()[0] == in_ch_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int h = x.shape()[1];
@@ -298,7 +265,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
       }
     }
     int_gemm(ops, col.data(), pixels, per_oc, wq_, bq_, rq_, y.data().data(),
-             1, pixels, pool);
+             1, pixels);
     ws_release(ws, std::move(col));
     return y;
   }
@@ -307,53 +274,48 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
     // (ky, kx) adds w·x over the output columns whose input column lies
     // inside the image (a range computed once per tap). Stride-1 rows are
     // contiguous on both sides and go through axpy_i64_i32.
-    Workspace* lane_ws = inline_ws(pool, ws);
-    pooled_for_chunks(pool, static_cast<std::size_t>(out_ch_),
-                      [&](std::size_t lo, std::size_t hi) {
-      std::vector<std::int64_t> acc = ws_i64(lane_ws, pixels);
-      for (std::size_t c = lo; c < hi; ++c) {
-        std::fill(acc.begin(), acc.end(), bq_[c]);
-        const std::int32_t* xc =
-            x.data().data() + c * static_cast<std::size_t>(h) * w;
-        for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const std::int32_t wt =
-                wq_[c * kk + static_cast<std::size_t>(ky * kernel_ + kx)];
-            // Output columns with 0 <= ox·stride − pad + kx < w.
-            const int ox_lo =
-                pad_ > kx ? (pad_ - kx + stride_ - 1) / stride_ : 0;
-            const int last = w - 1 + pad_ - kx;
-            const int ox_hi = last < 0 ? 0 : std::min(ow, last / stride_ + 1);
-            if (ox_hi <= ox_lo) continue;
-            const std::size_t span = static_cast<std::size_t>(ox_hi - ox_lo);
-            for (int oy = 0; oy < oh; ++oy) {
-              const int iy = oy * stride_ - pad_ + ky;
-              if (iy < 0 || iy >= h) continue;
-              std::int64_t* arow =
-                  acc.data() + static_cast<std::size_t>(oy) * ow + ox_lo;
-              const std::int32_t* xrow = xc + static_cast<std::size_t>(iy) * w +
-                                         (ox_lo * stride_ - pad_ + kx);
-              if (stride_ == 1) {
-                ops.axpy_i64_i32(arow, xrow, wt, span);
-              } else {
-                for (std::size_t j = 0; j < span; ++j) {
-                  arow[j] += static_cast<std::int64_t>(wt) * xrow[j * stride_];
-                }
+    std::vector<std::int64_t> acc = ws_i64(ws, pixels);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(out_ch_); ++c) {
+      std::fill(acc.begin(), acc.end(), bq_[c]);
+      const std::int32_t* xc =
+          x.data().data() + c * static_cast<std::size_t>(h) * w;
+      for (int ky = 0; ky < kernel_; ++ky) {
+        for (int kx = 0; kx < kernel_; ++kx) {
+          const std::int32_t wt =
+              wq_[c * kk + static_cast<std::size_t>(ky * kernel_ + kx)];
+          // Output columns with 0 <= ox·stride − pad + kx < w.
+          const int ox_lo =
+              pad_ > kx ? (pad_ - kx + stride_ - 1) / stride_ : 0;
+          const int last = w - 1 + pad_ - kx;
+          const int ox_hi = last < 0 ? 0 : std::min(ow, last / stride_ + 1);
+          if (ox_hi <= ox_lo) continue;
+          const std::size_t span = static_cast<std::size_t>(ox_hi - ox_lo);
+          for (int oy = 0; oy < oh; ++oy) {
+            const int iy = oy * stride_ - pad_ + ky;
+            if (iy < 0 || iy >= h) continue;
+            std::int64_t* arow =
+                acc.data() + static_cast<std::size_t>(oy) * ow + ox_lo;
+            const std::int32_t* xrow = xc + static_cast<std::size_t>(iy) * w +
+                                       (ox_lo * stride_ - pad_ + kx);
+            if (stride_ == 1) {
+              ops.axpy_i64_i32(arow, xrow, wt, span);
+            } else {
+              for (std::size_t j = 0; j < span; ++j) {
+                arow[j] += static_cast<std::int64_t>(wt) * xrow[j * stride_];
               }
             }
           }
         }
-        std::int32_t* yplane = y.data().data() + c * pixels;
-        for (std::size_t p = 0; p < pixels; ++p) {
-          yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
-        }
       }
-      ws_release(lane_ws, std::move(acc));
-    }, kMinChannelsPerLane);
+      std::int32_t* yplane = y.data().data() + c * pixels;
+      for (std::size_t p = 0; p < pixels; ++p) {
+        yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
+      }
+    }
+    ws_release(ws, std::move(acc));
     return y;
   }
-  pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-    const int oc = static_cast<int>(ch);
+  for (int oc = 0; oc < out_ch_; ++oc) {
     const int ic_lo = depthwise_ ? oc : 0;
     const int ic_hi = depthwise_ ? oc + 1 : in_ch_;
     for (int oy = 0; oy < oh; ++oy) {
@@ -377,7 +339,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
         y.at(oc, oy, ox) = static_cast<std::int32_t>(rq_.apply(acc));
       }
     }
-  }, kMinChannelsPerLane);
+  }
   return y;
 }
 
@@ -393,13 +355,11 @@ LayerNorm::LayerNorm(int dim, Rng& rng) : dim_(dim) {
   }
 }
 
-Tensor LayerNorm::forward_fp(const Tensor& x, ThreadPool* pool,
-                             Workspace* ws) const {
+Tensor LayerNorm::forward_fp(const Tensor& x, Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == dim_);
   const int n = x.shape()[0];
   Tensor y = ws_tensor(ws, x.shape());
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     double mean = 0.0;
     for (int d = 0; d < dim_; ++d) mean += x.at(i, d);
     mean /= dim_;
@@ -414,7 +374,7 @@ Tensor LayerNorm::forward_fp(const Tensor& x, ThreadPool* pool,
       y.at(i, d) = static_cast<float>((x.at(i, d) - mean) * inv * gamma_.at(d) +
                                       beta_.at(d));
     }
-  }, kMinRowsPerLane);
+  }
   return y;
 }
 
@@ -433,7 +393,7 @@ QuantParams LayerNorm::freeze(const QuantParams& in_qp,
 }
 
 QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                               ThreadPool* pool, Workspace* ws) const {
+                               Workspace* ws) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == dim_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
@@ -441,8 +401,6 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
   constexpr int kVarFrac = 8;  ///< fractional bits of the variance bus
   // Pass 1: per-row integer moments and variance bus codes, so every row's
   // RSQRT streams through the multi-range unit in one batched call.
-  // Staging vectors come from the workspace (allocated and released on the
-  // calling thread, outside the fan-outs).
   std::vector<std::int64_t> sums = ws_i64(ws, static_cast<std::size_t>(n));
   std::vector<std::int64_t> w_codes = ws_i64(ws, static_cast<std::size_t>(n));
   std::vector<std::int64_t> prenorm = ws_i64(ws, static_cast<std::size_t>(n));
@@ -459,8 +417,7 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
       std::numeric_limits<std::int32_t>::max()) {
     row_ssq = nullptr;
   }
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     const std::int32_t* xrow =
         x.data().data() + static_cast<std::size_t>(i) * dim_;
     // Exact integer moments via the D-scaled centering trick:
@@ -501,12 +458,11 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
     w_codes[static_cast<std::size_t>(i)] =
         std::max<std::int64_t>(1, shift_round(w_code, 2 * t));
     prenorm[static_cast<std::size_t>(i)] = t;
-  }, kMinRowsPerLane);
+  }
   std::vector<double> rsqrts = ws_f64(ws, static_cast<std::size_t>(n));
   nl.rsqrt_fxp_batch(w_codes, kVarFrac, rsqrts);
   // Pass 2: n_d = c'_d/(D·σ_q); y = γ n + β quantized to the output scale.
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     const std::int64_t sum = sums[static_cast<std::size_t>(i)];
     const double inv_sigma_q = std::ldexp(
         rsqrts[static_cast<std::size_t>(i)],
@@ -517,7 +473,7 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
       const double val = gamma_.at(d) * norm + beta_.at(d);
       y.at(i, d) = static_cast<std::int32_t>(out_qp_.quantize(val));
     }
-  }, kMinRowsPerLane);
+  }
   ws_release(ws, std::move(sums));
   ws_release(ws, std::move(w_codes));
   ws_release(ws, std::move(prenorm));
@@ -527,14 +483,12 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
 
 // -------------------------------------------------------------- Softmax ---
 
-Tensor Softmax::forward_fp(const Tensor& rows, ThreadPool* pool,
-                           Workspace* ws) {
+Tensor Softmax::forward_fp(const Tensor& rows, Workspace* ws) {
   GQA_EXPECTS(rows.shape().rank() == 2);
   const int n = rows.shape()[0];
   const int m = rows.shape()[1];
   Tensor y = ws_tensor(ws, rows.shape());
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     double peak = rows.at(i, 0);
     for (int j = 1; j < m; ++j) peak = std::max<double>(peak, rows.at(i, j));
     double sum = 0.0;
@@ -544,12 +498,12 @@ Tensor Softmax::forward_fp(const Tensor& rows, ThreadPool* pool,
       sum += e;
     }
     for (int j = 0; j < m; ++j) y.at(i, j) = static_cast<float>(y.at(i, j) / sum);
-  }, kMinRowsPerLane);
+  }
   return y;
 }
 
 QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
-                             ThreadPool* pool, Workspace* ws) {
+                             Workspace* ws) {
   GQA_EXPECTS(rows.shape().rank() == 2);
   GQA_EXPECTS_MSG(rows.params().scale_is_po2(),
                   "Softmax input scale must be a power of two (§3.1)");
@@ -563,73 +517,56 @@ QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
   // exp outputs are exact multiples of 2^(sx - λ); summing then encoding
   // with frac = λ - sx keeps the DIV input bit-exact.
   const int sum_frac = std::min(40, std::max(8, 12 - sx));
-  // Row chunks keep the per-lane scratch buffers hoisted out of the row
-  // loop (one allocation pair per chunk, as the serial path always had).
-  // Chunks running on pool workers may not touch the workspace, so it is
-  // used only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
-  pooled_for_chunks(
-      pool, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::int64_t> diffs =
-            ws_i64(lane_ws, static_cast<std::size_t>(m));
-        std::vector<double> exps = ws_f64(lane_ws, static_cast<std::size_t>(m));
-        // Dispatched row peak (max is order-free) and max-subtracted
-        // widening; the exp sum below is a float reduction and must stay
-        // scalar (FP addition is not associative).
-        const auto row_max = kernel::active().ops.max_i32;
-        const auto sub_widen = kernel::active().ops.sub_scalar_widen_i32;
-        for (std::size_t row = lo; row < hi; ++row) {
-          const int i = static_cast<int>(row);
-          const std::int32_t* xrow =
-              rows.data().data() + static_cast<std::size_t>(i) * m;
-          std::int32_t peak = rows.at(i, 0);
-          if (row_max != nullptr) {
-            peak = row_max(xrow, static_cast<std::size_t>(m));
-          } else {
-            for (int j = 1; j < m; ++j) peak = std::max(peak, rows.at(i, j));
-          }
-          if (sub_widen != nullptr) {
-            sub_widen(xrow, peak, diffs.data(), static_cast<std::size_t>(m));
-          } else {
-            for (int j = 0; j < m; ++j) {
-              diffs[static_cast<std::size_t>(j)] =
-                  static_cast<std::int64_t>(rows.at(i, j)) - peak;
-            }
-          }
-          // One batched EXP pass per row: the pwl unit is resolved once and
-          // the whole row streams through its dense segment table.
-          nl.exp_codes(diffs, sx, exps);
-          double sum = 0.0;
-          for (int j = 0; j < m; ++j) sum += exps[static_cast<std::size_t>(j)];
-          const std::int64_t sum_code = std::max<std::int64_t>(
-              1, round_to_int(std::ldexp(sum, sum_frac)));
-          const double recip = nl.recip_fxp(sum_code, sum_frac);
-          for (int j = 0; j < m; ++j) {
-            const double p = exps[static_cast<std::size_t>(j)] * recip;
-            y.at(i, j) = static_cast<std::int32_t>(prob_params().quantize(p));
-          }
-        }
-        ws_release(lane_ws, std::move(diffs));
-        ws_release(lane_ws, std::move(exps));
-      },
-      kMinRowsPerLane);
+  std::vector<std::int64_t> diffs = ws_i64(ws, static_cast<std::size_t>(m));
+  std::vector<double> exps = ws_f64(ws, static_cast<std::size_t>(m));
+  // Dispatched row peak (max is order-free) and max-subtracted widening;
+  // the exp sum below is a float reduction and must stay scalar (FP
+  // addition is not associative).
+  const auto row_max = kernel::active().ops.max_i32;
+  const auto sub_widen = kernel::active().ops.sub_scalar_widen_i32;
+  for (int i = 0; i < n; ++i) {
+    const std::int32_t* xrow =
+        rows.data().data() + static_cast<std::size_t>(i) * m;
+    std::int32_t peak = rows.at(i, 0);
+    if (row_max != nullptr) {
+      peak = row_max(xrow, static_cast<std::size_t>(m));
+    } else {
+      for (int j = 1; j < m; ++j) peak = std::max(peak, rows.at(i, j));
+    }
+    if (sub_widen != nullptr) {
+      sub_widen(xrow, peak, diffs.data(), static_cast<std::size_t>(m));
+    } else {
+      for (int j = 0; j < m; ++j) {
+        diffs[static_cast<std::size_t>(j)] =
+            static_cast<std::int64_t>(rows.at(i, j)) - peak;
+      }
+    }
+    // One batched EXP pass per row: the pwl unit is resolved once and the
+    // whole row streams through its dense segment table.
+    nl.exp_codes(diffs, sx, exps);
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) sum += exps[static_cast<std::size_t>(j)];
+    const std::int64_t sum_code = std::max<std::int64_t>(
+        1, round_to_int(std::ldexp(sum, sum_frac)));
+    const double recip = nl.recip_fxp(sum_code, sum_frac);
+    for (int j = 0; j < m; ++j) {
+      const double p = exps[static_cast<std::size_t>(j)] * recip;
+      y.at(i, j) = static_cast<std::int32_t>(prob_params().quantize(p));
+    }
+  }
+  ws_release(ws, std::move(diffs));
+  ws_release(ws, std::move(exps));
   return y;
 }
 
 // ----------------------------------------------------------- Activation ---
 
-Tensor Activation::forward_fp(const Tensor& x, ThreadPool* pool,
-                              Workspace* ws) const {
+Tensor Activation::forward_fp(const Tensor& x, Workspace* ws) const {
   Tensor y = ws_tensor(ws, x.shape());
-  // Elementwise op: any contiguous split is exact.
-  pooled_for_chunks(pool, x.data().size(),
-                    [&](std::size_t lo, std::size_t hi) {
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        y.data()[i] = static_cast<float>(
-                            eval_op(op_, static_cast<double>(x.data()[i])));
-                      }
-                    },
-                    kMinElemsPerLane);
+  for (std::size_t i = 0; i < x.data().size(); ++i) {
+    y.data()[i] =
+        static_cast<float>(eval_op(op_, static_cast<double>(x.data()[i])));
+  }
   return y;
 }
 
@@ -650,31 +587,24 @@ QuantParams Activation::freeze(const QuantParams& in_qp,
 }
 
 QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                                ThreadPool* pool, Workspace* ws) const {
+                                Workspace* ws) const {
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int sx = x.params().po2_exponent();
   QTensor y = ws_qtensor(ws, x.shape(), out_qp_);
-  // Batched activation threaded over contiguous slabs: each slab streams
-  // through the dense segment table in one span call (batched ==
-  // per-element bit-identical, so any split is exact). The staging buffers
-  // are allocated before the fan-out on the calling thread; workers only
-  // write disjoint ranges of them.
+  // The whole tensor streams through the dense segment table in one span
+  // call.
   const std::size_t count = x.data().size();
   std::vector<std::int64_t> codes = ws_i64(ws, count);
   std::vector<double> vals = ws_f64(ws, count);
-  pooled_for_chunks(pool, count, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) codes[i] = x.data()[i];
-    const std::span<const std::int64_t> in(codes.data() + lo, hi - lo);
-    const std::span<double> out(vals.data() + lo, hi - lo);
-    if (op_ == Op::kGelu) {
-      nl.gelu_codes(in, sx, out);
-    } else {
-      nl.hswish_codes(in, sx, out);
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      y.data()[i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
-    }
-  }, kMinElemsPerLane);
+  for (std::size_t i = 0; i < count; ++i) codes[i] = x.data()[i];
+  if (op_ == Op::kGelu) {
+    nl.gelu_codes(codes, sx, vals);
+  } else {
+    nl.hswish_codes(codes, sx, vals);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    y.data()[i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
+  }
   ws_release(ws, std::move(codes));
   ws_release(ws, std::move(vals));
   return y;
@@ -683,16 +613,12 @@ QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
 // ---------------------------------------------------------- ResidualAdd ---
 
 Tensor ResidualAdd::forward_fp(const Tensor& a, const Tensor& b,
-                               ThreadPool* pool, Workspace* ws) const {
+                               Workspace* ws) const {
   GQA_EXPECTS(a.shape() == b.shape());
   Tensor y = ws_tensor(ws, a.shape());
-  pooled_for_chunks(pool, a.data().size(),
-                    [&](std::size_t lo, std::size_t hi) {
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        y.data()[i] = a.data()[i] + b.data()[i];
-                      }
-                    },
-                    kMinElemsPerLane);
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    y.data()[i] = a.data()[i] + b.data()[i];
+  }
   return y;
 }
 
@@ -715,24 +641,18 @@ QuantParams ResidualAdd::freeze(const QuantParams& a_qp,
 }
 
 QTensor ResidualAdd::forward_int(const QTensor& a, const QTensor& b,
-                                 ThreadPool* pool, Workspace* ws) const {
+                                 Workspace* ws) const {
   GQA_EXPECTS(a.shape() == b.shape());
   GQA_EXPECTS_MSG(a.params() == a_qp_,
                   "first operand params differ from freeze()");
   GQA_EXPECTS_MSG(b.params() == b_qp_,
                   "second operand params differ from freeze()");
   QTensor y = ws_qtensor(ws, a.shape(), out_qp_);
-  pooled_for_chunks(
-      pool, a.data().size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::int64_t v =
-              rq_a_.apply(a.data()[i]) + rq_b_.apply(b.data()[i]);
-          y.data()[i] = static_cast<std::int32_t>(
-              saturate(v, out_qp_.bits, out_qp_.is_signed));
-        }
-      },
-      kMinElemsPerLane);
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    const std::int64_t v = rq_a_.apply(a.data()[i]) + rq_b_.apply(b.data()[i]);
+    y.data()[i] =
+        static_cast<std::int32_t>(saturate(v, out_qp_.bits, out_qp_.is_signed));
+  }
   return y;
 }
 
@@ -777,33 +697,28 @@ Tensor head_scores(const Tensor& q, const Tensor& k, int head, int dh,
 }  // namespace
 
 Tensor AttentionSR::forward_fp(const Tensor& tokens, int h, int w,
-                               ThreadPool* pool, Workspace* ws) const {
-  Tensor q = q_lin_.forward_fp(tokens, pool, ws);
+                               Workspace* ws) const {
+  Tensor q = q_lin_.forward_fp(tokens, ws);
   Tensor reduced;
   const Tensor* kv_src = &tokens;
   if (sr_conv_) {
     Tensor map = from_tokens(tokens, h, w, ws);
-    Tensor conv = sr_conv_->forward_fp(map, pool, ws);
+    Tensor conv = sr_conv_->forward_fp(map, ws);
     ws_release(ws, std::move(map));
     reduced = to_tokens(conv, ws);
     ws_release(ws, std::move(conv));
     kv_src = &reduced;
   }
-  Tensor k = k_lin_.forward_fp(*kv_src, pool, ws);
-  Tensor v = v_lin_.forward_fp(*kv_src, pool, ws);
+  Tensor k = k_lin_.forward_fp(*kv_src, ws);
+  Tensor v = v_lin_.forward_fp(*kv_src, ws);
   if (sr_conv_) ws_release(ws, std::move(reduced));
   const int n = tokens.shape()[0];
   const int dh = dim_ / heads_;
   Tensor ctx = ws_tensor(ws, Shape{n, dim_});
-  // Heads are independent and write disjoint ctx columns; the per-head work
-  // runs serially inside each lane (parallel_for is not reentrant). The
-  // workspace backs per-head scratch only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
-  pooled_for(pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
-    const int head = static_cast<int>(hd);
-    Tensor scores = head_scores(q, k, head, dh, lane_ws);
-    Tensor probs = Softmax::forward_fp(scores, nullptr, lane_ws);
-    ws_release(lane_ws, std::move(scores));
+  for (int head = 0; head < heads_; ++head) {
+    Tensor scores = head_scores(q, k, head, dh, ws);
+    Tensor probs = Softmax::forward_fp(scores, ws);
+    ws_release(ws, std::move(scores));
     const int m = probs.shape()[1];
     for (int i = 0; i < n; ++i) {
       for (int d = 0; d < dh; ++d) {
@@ -812,12 +727,12 @@ Tensor AttentionSR::forward_fp(const Tensor& tokens, int h, int w,
         ctx.at(i, head * dh + d) = static_cast<float>(acc);
       }
     }
-    ws_release(lane_ws, std::move(probs));
-  });
+    ws_release(ws, std::move(probs));
+  }
   ws_release(ws, std::move(q));
   ws_release(ws, std::move(k));
   ws_release(ws, std::move(v));
-  Tensor out = proj_.forward_fp(ctx, pool, ws);
+  Tensor out = proj_.forward_fp(ctx, ws);
   ws_release(ws, std::move(ctx));
   return out;
 }
@@ -872,34 +787,28 @@ QuantParams AttentionSR::freeze(const QuantParams& in_qp,
 
 QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
                                  const NonlinearProvider& nl,
-                                 ThreadPool* pool, Workspace* ws) const {
-  QTensor q = q_lin_.forward_int(tokens, pool, ws);
+                                 Workspace* ws) const {
+  QTensor q = q_lin_.forward_int(tokens, ws);
   QTensor reduced;
   const QTensor* kv_src = &tokens;
   if (sr_conv_) {
     QTensor map = from_tokens(tokens, h, w, ws);
-    QTensor conv = sr_conv_->forward_int(map, pool, ws);
+    QTensor conv = sr_conv_->forward_int(map, ws);
     ws_release(ws, std::move(map));
     reduced = to_tokens(conv, ws);
     ws_release(ws, std::move(conv));
     kv_src = &reduced;
   }
-  QTensor k = k_lin_.forward_int(*kv_src, pool, ws);
-  QTensor v = v_lin_.forward_int(*kv_src, pool, ws);
+  QTensor k = k_lin_.forward_int(*kv_src, ws);
+  QTensor v = v_lin_.forward_int(*kv_src, ws);
   const int n = tokens.shape()[0];
   const int m = kv_src->shape()[0];
   const int dh = dim_ / heads_;
   if (sr_conv_) ws_release(ws, std::move(reduced));
   QTensor ctx = ws_qtensor(ws, Shape{n, dim_}, attn_qp_);
-  // Heads fan out across the pool: each lane owns its scores/probs buffers
-  // and writes a disjoint ctx column block, with the provider's EXP/DIV
-  // units shared concurrently (the caches are thread-safe). The workspace
-  // backs per-head scratch only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
-  pooled_for(pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
-    const int head = static_cast<int>(hd);
+  for (int head = 0; head < heads_; ++head) {
     // Integer scores + requant to the po2 Softmax input scale.
-    QTensor scores = ws_qtensor(lane_ws, Shape{n, m}, score_qp_);
+    QTensor scores = ws_qtensor(ws, Shape{n, m}, score_qp_);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < m; ++j) {
         std::int64_t acc = 0;
@@ -910,8 +819,8 @@ QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
         scores.at(i, j) = static_cast<std::int32_t>(rq_score_.apply(acc));
       }
     }
-    QTensor probs = Softmax::forward_int(scores, nl, nullptr, lane_ws);
-    ws_release(lane_ws, std::move(scores));
+    QTensor probs = Softmax::forward_int(scores, nl, ws);
+    ws_release(ws, std::move(scores));
     for (int i = 0; i < n; ++i) {
       for (int d = 0; d < dh; ++d) {
         std::int64_t acc = 0;
@@ -922,12 +831,12 @@ QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
         ctx.at(i, head * dh + d) = static_cast<std::int32_t>(rq_attn_.apply(acc));
       }
     }
-    ws_release(lane_ws, std::move(probs));
-  });
+    ws_release(ws, std::move(probs));
+  }
   ws_release(ws, std::move(q));
   ws_release(ws, std::move(k));
   ws_release(ws, std::move(v));
-  QTensor out = proj_.forward_int(ctx, pool, ws);
+  QTensor out = proj_.forward_int(ctx, ws);
   ws_release(ws, std::move(ctx));
   return out;
 }
@@ -947,14 +856,13 @@ double relu(double x) { return x > 0.0 ? x : 0.0; }
 
 }  // namespace
 
-Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
-                                   Workspace* ws) const {
-  Tensor q = q_lin_.forward_fp(tokens, pool, ws);
-  Tensor k = k_lin_.forward_fp(tokens, pool, ws);
-  Tensor v = v_lin_.forward_fp(tokens, pool, ws);
+Tensor LinearAttention::forward_fp(const Tensor& tokens, Workspace* ws) const {
+  Tensor q = q_lin_.forward_fp(tokens, ws);
+  Tensor k = k_lin_.forward_fp(tokens, ws);
+  Tensor v = v_lin_.forward_fp(tokens, ws);
   const int n = tokens.shape()[0];
   // kv[c][d] = Σ_n relu(k)·v ; z[c] = Σ_n relu(k). The token reduction is
-  // order-sensitive, so it stays serial; rows below are independent.
+  // order-sensitive.
   Tensor kv = ws_tensor(ws, Shape{dim_, dim_});
   Tensor z = ws_tensor(ws, Shape{dim_});
   for (int j = 0; j < n; ++j) {
@@ -966,8 +874,7 @@ Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
     }
   }
   Tensor out = ws_tensor(ws, Shape{n, dim_});
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     double den = 1e-6;
     for (int c = 0; c < dim_; ++c) den += relu(q.at(i, c)) * z.at(c);
     const double inv = 1.0 / den;
@@ -976,13 +883,13 @@ Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
       for (int c = 0; c < dim_; ++c) num += relu(q.at(i, c)) * kv.at(c, d);
       out.at(i, d) = static_cast<float>(num * inv);
     }
-  }, kMinRowsPerLane);
+  }
   ws_release(ws, std::move(q));
   ws_release(ws, std::move(k));
   ws_release(ws, std::move(v));
   ws_release(ws, std::move(kv));
   ws_release(ws, std::move(z));
-  Tensor y = proj_.forward_fp(out, pool, ws);
+  Tensor y = proj_.forward_fp(out, ws);
   ws_release(ws, std::move(out));
   return y;
 }
@@ -1034,10 +941,10 @@ QuantParams LinearAttention::freeze(const QuantParams& in_qp,
 
 QTensor LinearAttention::forward_int(const QTensor& tokens,
                                      const NonlinearProvider& nl,
-                                     ThreadPool* pool, Workspace* ws) const {
-  QTensor q = q_lin_.forward_int(tokens, pool, ws);
-  QTensor k = k_lin_.forward_int(tokens, pool, ws);
-  QTensor v = v_lin_.forward_int(tokens, pool, ws);
+                                     Workspace* ws) const {
+  QTensor q = q_lin_.forward_int(tokens, ws);
+  QTensor k = k_lin_.forward_int(tokens, ws);
+  QTensor v = v_lin_.forward_int(tokens, ws);
   const int n = tokens.shape()[0];
   const double sq = q.params().scale;
   const double sk = k.params().scale;
@@ -1059,8 +966,7 @@ QTensor LinearAttention::forward_int(const QTensor& tokens,
 
   constexpr int kDenFrac = 16;
   QTensor out = ws_qtensor(ws, Shape{n, dim_}, out_qp_);
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
-    const int i = static_cast<int>(row);
+  for (int i = 0; i < n; ++i) {
     std::int64_t den_acc = 0;
     for (int c = 0; c < dim_; ++c) {
       den_acc += std::max<std::int64_t>(0, q.at(i, c)) *
@@ -1082,13 +988,13 @@ QTensor LinearAttention::forward_int(const QTensor& tokens,
       const double value = static_cast<double>(num_acc) * sq * sk * sv * inv;
       out.at(i, d) = static_cast<std::int32_t>(out_qp_.quantize(value));
     }
-  }, kMinRowsPerLane);
+  }
   ws_release(ws, std::move(q));
   ws_release(ws, std::move(k));
   ws_release(ws, std::move(v));
   ws_release(ws, std::move(kv));
   ws_release(ws, std::move(z));
-  QTensor y = proj_.forward_int(out, pool, ws);
+  QTensor y = proj_.forward_int(out, ws);
   ws_release(ws, std::move(out));
   return y;
 }
@@ -1104,17 +1010,17 @@ MixFfn::MixFfn(int dim, int hidden, Rng& rng)
 }
 
 Tensor MixFfn::forward_fp(const Tensor& tokens, int h, int w,
-                          ThreadPool* pool, Workspace* ws) const {
-  Tensor x = fc1_.forward_fp(tokens, pool, ws);
+                          Workspace* ws) const {
+  Tensor x = fc1_.forward_fp(tokens, ws);
   Tensor map = from_tokens(x, h, w, ws);
   ws_release(ws, std::move(x));
-  Tensor conv = dw_.forward_fp(map, pool, ws);
+  Tensor conv = dw_.forward_fp(map, ws);
   ws_release(ws, std::move(map));
   Tensor tok = to_tokens(conv, ws);
   ws_release(ws, std::move(conv));
-  Tensor act = act_.forward_fp(tok, pool, ws);
+  Tensor act = act_.forward_fp(tok, ws);
   ws_release(ws, std::move(tok));
-  Tensor y = fc2_.forward_fp(act, pool, ws);
+  Tensor y = fc2_.forward_fp(act, ws);
   ws_release(ws, std::move(act));
   return y;
 }
@@ -1136,17 +1042,17 @@ QuantParams MixFfn::freeze(const QuantParams& in_qp,
 
 QTensor MixFfn::forward_int(const QTensor& tokens, int h, int w,
                             const NonlinearProvider& nl,
-                            ThreadPool* pool, Workspace* ws) const {
-  QTensor x = fc1_.forward_int(tokens, pool, ws);
+                            Workspace* ws) const {
+  QTensor x = fc1_.forward_int(tokens, ws);
   QTensor map = from_tokens(x, h, w, ws);
   ws_release(ws, std::move(x));
-  QTensor conv = dw_.forward_int(map, pool, ws);
+  QTensor conv = dw_.forward_int(map, ws);
   ws_release(ws, std::move(map));
   QTensor tok = to_tokens(conv, ws);
   ws_release(ws, std::move(conv));
-  QTensor act = act_.forward_int(tok, nl, pool, ws);
+  QTensor act = act_.forward_int(tok, nl, ws);
   ws_release(ws, std::move(tok));
-  QTensor y = fc2_.forward_int(act, pool, ws);
+  QTensor y = fc2_.forward_int(act, ws);
   ws_release(ws, std::move(act));
   return y;
 }
@@ -1164,19 +1070,18 @@ MbConv::MbConv(int in_ch, int out_ch, int expand, int stride, Rng& rng)
   dw_.set_po2_output(true);
 }
 
-Tensor MbConv::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
-  Tensor t = expand_.forward_fp(x, pool, ws);
-  Tensor y = act1_.forward_fp(t, pool, ws);
+Tensor MbConv::forward_fp(const Tensor& x, Workspace* ws) const {
+  Tensor t = expand_.forward_fp(x, ws);
+  Tensor y = act1_.forward_fp(t, ws);
   ws_release(ws, std::move(t));
-  t = dw_.forward_fp(y, pool, ws);
+  t = dw_.forward_fp(y, ws);
   ws_release(ws, std::move(y));
-  y = act2_.forward_fp(t, pool, ws);
+  y = act2_.forward_fp(t, ws);
   ws_release(ws, std::move(t));
-  t = project_.forward_fp(y, pool, ws);
+  t = project_.forward_fp(y, ws);
   ws_release(ws, std::move(y));
   if (!residual_) return t;
-  Tensor out = add_.forward_fp(t, x, pool, ws);
+  Tensor out = add_.forward_fp(t, x, ws);
   ws_release(ws, std::move(t));
   return out;
 }
@@ -1199,18 +1104,18 @@ QuantParams MbConv::freeze(const QuantParams& in_qp,
 }
 
 QTensor MbConv::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                            ThreadPool* pool, Workspace* ws) const {
-  QTensor t = expand_.forward_int(x, pool, ws);
-  QTensor y = act1_.forward_int(t, nl, pool, ws);
+                            Workspace* ws) const {
+  QTensor t = expand_.forward_int(x, ws);
+  QTensor y = act1_.forward_int(t, nl, ws);
   ws_release(ws, std::move(t));
-  t = dw_.forward_int(y, pool, ws);
+  t = dw_.forward_int(y, ws);
   ws_release(ws, std::move(y));
-  y = act2_.forward_int(t, nl, pool, ws);
+  y = act2_.forward_int(t, nl, ws);
   ws_release(ws, std::move(t));
-  t = project_.forward_int(y, pool, ws);
+  t = project_.forward_int(y, ws);
   ws_release(ws, std::move(y));
   if (!residual_) return t;
-  QTensor out = add_.forward_int(t, x, pool, ws);
+  QTensor out = add_.forward_int(t, x, ws);
   ws_release(ws, std::move(t));
   return out;
 }

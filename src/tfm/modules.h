@@ -10,25 +10,17 @@
 // integer weights/requantizers, returns the output QuantParams) ->
 // forward_int(...).
 //
-// Every forward takes an optional ThreadPool*: nullptr (the default) runs
-// serially, a pool fans the work out over rows / output channels / heads.
-// Each parallel index writes disjoint output slots with the serial
-// reduction order preserved inside it, so threaded results are
-// bit-identical to serial at any thread count. Calibration stays serial
-// (range observers are order-sensitive state).
+// Every forward is one serial computation on the calling thread. Serving
+// parallelises across images instead (eval/engine.h, eval/server.h): the
+// non-linear units are fixed at deploy time, and splitting one small
+// forward across threads never beat the serial loop.
 //
-// Every forward also takes an optional Workspace*: layer outputs and
-// staging buffers then come from (and return to) reusable pooled storage,
-// so a serving loop stops re-mallocing every intermediate per image.
-// Results are bit-identical with or without a workspace. The workspace is
-// only ever touched by the calling thread (one workspace per thread, never
-// shared — see workspace.h); fan-out lambdas that run on pool workers use
-// it only when the fan-out is inline (null/single-lane pool).
-//
-// Row/channel fan-outs carry a granularity floor (pooled_for min_per_lane):
-// when a tensor is too small for the per-task work to amortize dispatch,
-// the loop runs inline, so threading can never lose to serial on tiny
-// layers.
+// Every forward takes an optional Workspace*: layer outputs and staging
+// buffers then come from (and return to) reusable pooled storage, so a
+// serving loop stops re-mallocing every intermediate per image. Results
+// are bit-identical with or without a workspace. A workspace belongs to
+// the thread running the forward (one per thread, never shared — see
+// workspace.h).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +32,6 @@
 #include "tfm/nonlinear_provider.h"
 #include "tfm/tensor.h"
 #include "tfm/workspace.h"
-#include "util/thread_pool.h"
 
 namespace gqa::tfm {
 
@@ -58,15 +49,13 @@ class Linear {
  public:
   Linear(int in_features, int out_features, Rng& rng);
 
-  // {N,in}->{N,out}; threads over rows.
+  // {N,in}->{N,out}.
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& x);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
   [[nodiscard]] int in_features() const { return in_; }
   [[nodiscard]] int out_features() const { return out_; }
@@ -97,16 +86,13 @@ class Conv2d {
   Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad, Rng& rng,
          bool depthwise = false);
 
-  // {C,H,W}; threads over output channels (forward_int of a dense conv
-  // with the GEMM kernels: over output pixels).
+  // {C,H,W}.
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& x);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
   [[nodiscard]] int out_channels() const { return out_ch_; }
   [[nodiscard]] int stride() const { return stride_; }
@@ -141,16 +127,12 @@ class LayerNorm {
   LayerNorm(int dim, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& x);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
-  /// Threads over rows; the batched RSQRT call stays a single span so the
-  /// result is bit-identical to serial.
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
   [[nodiscard]] Tensor& gamma() { return gamma_; }
   [[nodiscard]] Tensor& beta() { return beta_; }
@@ -175,13 +157,11 @@ class Softmax {
   }
 
   [[nodiscard]] static Tensor forward_fp(const Tensor& rows,
-                                         ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr);
-  /// `rows` must carry a power-of-two scale. Threads over rows.
+                                         Workspace* ws = nullptr);
+  /// `rows` must carry a power-of-two scale.
   [[nodiscard]] static QTensor forward_int(const QTensor& rows,
                                            const NonlinearProvider& nl,
-                                           ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr);
+                                           Workspace* ws = nullptr);
 };
 
 // ---------------------------------------------------------------------------
@@ -192,15 +172,12 @@ class Activation {
   Activation(Op op) : op_(op) {}
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& x);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
-  /// Threads over leading-dimension rows.
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   Op op_;
@@ -215,14 +192,12 @@ class Activation {
 class ResidualAdd {
  public:
   [[nodiscard]] Tensor forward_fp(const Tensor& a, const Tensor& b,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& a, const Tensor& b);
   QuantParams freeze(const QuantParams& a_qp, const QuantParams& b_qp,
                      const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& a, const QTensor& b,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   RangeObserver out_obs_;
@@ -239,15 +214,12 @@ class AttentionSR {
   AttentionSR(int dim, int heads, int sr_ratio, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens, int h, int w,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& tokens, int h, int w);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
-  /// Threads over heads (the Q/K/V/proj linears thread over rows).
   [[nodiscard]] QTensor forward_int(const QTensor& tokens, int h, int w,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   int dim_ = 0, heads_ = 0, sr_ = 1;
@@ -268,15 +240,12 @@ class LinearAttention {
   LinearAttention(int dim, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& tokens);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
-  /// Threads over output rows (the shared KᵀV/Kᵀ1 reduction stays serial).
   [[nodiscard]] QTensor forward_int(const QTensor& tokens,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   int dim_ = 0;
@@ -294,14 +263,12 @@ class MixFfn {
   MixFfn(int dim, int hidden, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens, int h, int w,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& tokens, int h, int w);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& tokens, int h, int w,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   Linear fc1_, fc2_;
@@ -318,14 +285,12 @@ class MbConv {
   MbConv(int in_ch, int out_ch, int expand, int stride, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
   Tensor calibrate(const Tensor& x);
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    Workspace* ws = nullptr) const;
 
  private:
   bool residual_ = false;

@@ -12,8 +12,8 @@
 // Ownership rules (see README "Workspace ownership rules" and
 // docs/ARCHITECTURE.md):
 //   - One Workspace per thread, never shared: acquire/release are NOT
-//     thread-safe. Inside a pooled forward, only the calling thread may
-//     touch the workspace (module fan-out lambdas never do).
+//     thread-safe. A forward runs entirely on its calling thread, so the
+//     thread that passes a workspace in is the only one touching it.
 //   - A workspace-backed Tensor/QTensor is an ordinary value; releasing it
 //     back is an optimization, not a requirement. Tensors that never came
 //     from the workspace may be released into it (the pool adopts them).
@@ -24,10 +24,10 @@
 //     serves them in tens of nanoseconds, so only the large activation
 //     buffers — where allocation really costs — are pooled.
 //
-// WorkspacePool is the thread-safe checkout counter used by the batch entry
-// points: each image-chunk task borrows one Workspace for its lifetime, so
-// concurrent tasks never share scratch while the buffers still persist
-// across dispatches.
+// WorkspacePool is the thread-safe checkout counter used by the image-level
+// fan-outs (InferenceEngine, Server): each image-chunk task or service lane
+// borrows one Workspace for its lifetime, so concurrent tasks never share
+// scratch while the buffers still persist across dispatches.
 #pragma once
 
 #include <array>
@@ -37,7 +37,6 @@
 
 #include "tfm/tensor.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace gqa::tfm {
 
@@ -124,7 +123,7 @@ class WorkspacePool {
 
 /// RAII checkout of one Workspace from a WorkspacePool for the lease's
 /// lifetime — the single lane-scratch shape every batch/serving fan-out
-/// holds (ws_batch per chunk, the serving layer per service-lane loop; the
+/// holds (the engine per image chunk, the server per service-lane loop; the
 /// eval layer names it gqa::LaneLease). Returns the workspace to the pool
 /// on any exit path, so a throwing task body cannot leak it. Not copyable
 /// or movable: a lease lives on the lane that acquired it.
@@ -184,28 +183,6 @@ inline void ws_release(Workspace* ws, std::vector<std::int64_t>&& v) {
 }
 inline void ws_release(Workspace* ws, std::vector<double>&& v) {
   if (ws != nullptr) ws->release(std::move(v));
-}
-
-/// Image-level fan-out used by the batched model entry points: runs
-/// fn(i, ws) for every i in [0, count) in contiguous chunks across the
-/// pool, each chunk owning one Workspace (borrowed from `workspaces` when
-/// non-null so scratch persists across dispatches). fn must be independent
-/// per index and write only out[i]; results are then bit-identical to a
-/// serial loop at any lane count.
-template <typename Out, typename Fn>
-std::vector<Out> ws_batch(std::size_t count, ThreadPool* pool,
-                          WorkspacePool* workspaces, const Fn& fn) {
-  std::vector<Out> out(count);
-  pooled_for_chunks(pool, count, [&](std::size_t lo, std::size_t hi) {
-    if (workspaces != nullptr) {
-      WorkspaceLease lease(*workspaces);  // returned even if fn throws
-      for (std::size_t i = lo; i < hi; ++i) out[i] = fn(i, lease.workspace());
-    } else {
-      Workspace local;
-      for (std::size_t i = lo; i < hi; ++i) out[i] = fn(i, &local);
-    }
-  });
-  return out;
 }
 
 }  // namespace gqa::tfm

@@ -115,12 +115,8 @@ void ThreadPool::run_lanes(const std::function<void(std::size_t)>& body) {
 }
 
 void pooled_for(ThreadPool* pool, std::size_t count,
-                const std::function<void(std::size_t)>& fn,
-                std::size_t min_per_lane) {
-  const std::size_t lanes =
-      pool == nullptr ? 1 : static_cast<std::size_t>(pool->size());
-  if (lanes <= 1 || count <= 1 ||
-      (min_per_lane > 1 && count / lanes < min_per_lane)) {
+                const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || pool->size() <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -129,14 +125,10 @@ void pooled_for(ThreadPool* pool, std::size_t count,
 
 void pooled_for_chunks(
     ThreadPool* pool, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t min_per_lane) {
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
-  std::size_t lanes =
+  const std::size_t lanes =
       pool == nullptr ? 1 : static_cast<std::size_t>(pool->size());
-  // Below the granularity floor the whole range is one inline chunk: the
-  // per-task work would be too small to amortize pool dispatch.
-  if (min_per_lane > 1 && count / lanes < min_per_lane) lanes = 1;
   // A few chunks per lane keeps the dynamic index handout balanced without
   // paying per-index overhead.
   const std::size_t target = std::min(count, lanes <= 1 ? 1 : 4 * lanes);

@@ -18,8 +18,9 @@
 //     acquisition). This is what lets an async Server and batch
 //     InferenceEngines co-serve on the single process-wide global_pool().
 //   - parallel_for is NOT reentrant: calling it from inside a running
-//     fn(i) on the same pool self-deadlocks. Nested fan-outs must pass a
-//     null pool (run inline) — the tfm modules already do.
+//     fn(i) on the same pool self-deadlocks. Every fan-out in the repo is
+//     one level deep (images, sweep scales, GA genomes), and a model
+//     forward never dispatches onto a pool.
 //   - BoundedQueue is fully thread-safe (any number of producers and
 //     consumers); close() releases every blocked producer and consumer.
 #pragma once
@@ -138,27 +139,17 @@ class ThreadPool {
 /// Runs fn(i) for every i in [0, count): serially when `pool` is null or
 /// single-lane, through the pool otherwise. Callers guarantee each index
 /// writes disjoint output slots, so both paths are bit-identical.
-///
-/// `min_per_lane` is the granularity floor: fan-out is skipped (the loop
-/// runs inline on the caller) when count / lanes < min_per_lane, so cheap
-/// per-index bodies can never be slower than serial just from dispatch
-/// overhead. The default of 1 keeps the historical always-fan-out
-/// behaviour for heavy bodies (GA fitness, per-scale sweeps).
 void pooled_for(ThreadPool* pool, std::size_t count,
-                const std::function<void(std::size_t)>& fn,
-                std::size_t min_per_lane = 1);
+                const std::function<void(std::size_t)>& fn);
 
 /// Splits [0, count) into contiguous chunks (a few per lane; one chunk when
-/// serial) and runs fn(lo, hi) per chunk. For elementwise work this lets
-/// per-chunk scratch buffers be allocated once per chunk instead of once
-/// per index; chunk boundaries depend only on (count, lane count), never on
-/// scheduling, so results stay deterministic. `min_per_lane` is the same
-/// granularity floor as pooled_for, counted in elements: below it the whole
-/// range runs as one inline chunk.
+/// serial) and runs fn(lo, hi) per chunk, so per-chunk state (a leased
+/// workspace) is set up once per chunk instead of once per index. Chunk
+/// boundaries depend only on (count, lane count), never on scheduling, so
+/// results stay deterministic.
 void pooled_for_chunks(
     ThreadPool* pool, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t min_per_lane = 1);
+    const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Lazily-created process-wide pool for scene-batched serving, sized by the
 /// GQA_NUM_THREADS environment variable (default: hardware concurrency).

@@ -1,26 +1,20 @@
 // Scene-batched inference engine guarantees: engine-batched results must be
 // bit-identical to the sequential serial loop for both models at 1/2/4/8
-// lanes, with cold and pre-warmed providers; Workspace reuse must never
+// lanes, with cold and pre-warmed providers; and Workspace reuse must never
 // alias live tensors (consecutive forwards through one workspace give
-// identical codes); the granularity-floored pooled_for must skip fan-out
-// below the threshold; and SegTask's engine path must reproduce the legacy
-// serial mIoU exactly.
+// identical codes).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "eval/engine.h"
 #include "eval/scene.h"
-#include "eval/segtask.h"
 #include "kernel/dispatch.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
 #include "tfm/workspace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace gqa {
 namespace {
@@ -202,8 +196,8 @@ TEST(Workspace, TwoConsecutiveForwardsGiveIdenticalCodes) {
     const tfm::QTensor b = seg.forward_int(img, nl, nullptr, &ws);
     EXPECT_EQ(ref_int.data(), a.data());
     EXPECT_EQ(a.data(), b.data());
-    const tfm::Tensor fa = seg.forward_fp(img, nullptr, &ws);
-    const tfm::Tensor fb = seg.forward_fp(img, nullptr, &ws);
+    const tfm::Tensor fa = seg.forward_fp(img, &ws);
+    const tfm::Tensor fb = seg.forward_fp(img, &ws);
     EXPECT_EQ(ref_fp.data(), fa.data());
     EXPECT_EQ(fa.data(), fb.data());
   }
@@ -288,76 +282,6 @@ TEST(Workspace, ModelForwardsAllocateNothingAfterTheFirst) {
   };
   expect_steady(seg, "segformer");
   expect_steady(evit, "efficientvit");
-}
-
-// --------------------------------------------- pooled_for granularity ----
-
-TEST(PooledForGranularity, SkipsFanOutBelowThreshold) {
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  // 16 indices over 4 lanes = 4 per lane < 8: must run inline.
-  std::set<std::thread::id> seen;
-  std::mutex mu;
-  pooled_for(&pool, 16, [&](std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.insert(std::this_thread::get_id());
-  }, /*min_per_lane=*/8);
-  EXPECT_EQ(seen.size(), 1U);
-  EXPECT_EQ(*seen.begin(), caller);
-
-  // At or above the floor the fan-out happens and still covers every index
-  // exactly once (which lanes run them is scheduling-dependent).
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h = 0;
-  pooled_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; },
-             /*min_per_lane=*/8);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(PooledForGranularity, ChunksCollapseToOneBelowThreshold) {
-  ThreadPool pool(4);
-  std::atomic<int> chunks{0};
-  std::vector<std::atomic<int>> hits(100);
-  for (auto& h : hits) h = 0;
-  pooled_for_chunks(&pool, hits.size(), [&](std::size_t lo, std::size_t hi) {
-    ++chunks;
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  }, /*min_per_lane=*/64);
-  EXPECT_EQ(chunks.load(), 1);  // 100/4 = 25 < 64: one inline chunk
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(PooledForGranularity, DefaultKeepsHistoricalFanOut) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(5);
-  for (auto& h : hits) h = 0;
-  pooled_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-// ------------------------------------------------- SegTask engine parity --
-
-TEST(SegTaskEngine, EngineAndLegacySerialMiouIdentical) {
-  SegTaskOptions options;
-  options.train_scenes = 6;
-  options.calib_scenes = 2;
-  options.eval_scenes = 4;
-  options.probe_epochs = 2;
-  options.scene.size = 32;
-  options.scene.num_classes = 6;
-
-  options.scene_parallel = true;  // engine path (default)
-  options.num_threads = 2;
-  const SegformerTask engine_task = make_segformer_task(options);
-
-  options.scene_parallel = false;  // legacy serial path
-  options.num_threads = 1;
-  const SegformerTask serial_task = make_segformer_task(options);
-
-  const auto nl = tfm::NonlinearProvider::with_method(
-      Method::kGqaRm, {Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt});
-  EXPECT_EQ(engine_task.miou_fp(), serial_task.miou_fp());
-  EXPECT_EQ(engine_task.miou_int(nl), serial_task.miou_int(nl));
 }
 
 // The EfficientViT task must use EfficientViT's own argmax (regression:

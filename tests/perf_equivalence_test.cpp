@@ -2,8 +2,8 @@
 // memoized GA runs must be bit-identical to the serial path, the prefix-sum
 // objective must agree with the naive per-code scan, the batched kernel
 // APIs must reproduce per-element evaluation exactly, the NonlinearProvider
-// must survive concurrent hammering on cold caches, and every threaded tfm
-// forward pass must be bit-identical to its serial twin.
+// must survive concurrent hammering on cold caches, and every tfm kernel
+// backend must reproduce the scalar oracle's forward codes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -462,7 +462,7 @@ TEST(ProviderConcurrency, WarmedUpProviderServesLockFreeTier) {
   EXPECT_EQ(warmed, cold);
 }
 
-// --------------------------------------- threaded forward == serial ------
+// ------------------------------------------------- kernel backend parity --
 
 Rng eq_rng() { return Rng(0x7EAD); }
 
@@ -475,86 +475,8 @@ const tfm::NonlinearProvider& full_provider() {
   return p;
 }
 
-template <typename Fn>
-void expect_pool_invariant(const Fn& forward, const char* what) {
-  const auto serial = forward(nullptr);
-  for (int threads : {2, 4}) {
-    ThreadPool pool(threads);
-    const auto threaded = forward(&pool);
-    ASSERT_EQ(serial.shape(), threaded.shape()) << what;
-    EXPECT_EQ(serial.data(), threaded.data())
-        << what << " diverges at " << threads << " threads";
-  }
-}
-
-TEST(ThreadedForward, LinearBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::Linear lin(24, 16, rng);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 24}, rng, 1.0);
-  (void)lin.calibrate(x);
-  const QuantParams in_qp{x.amax() / 127.0, 8, true};
-  (void)lin.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return lin.forward_fp(x, pool); }, "Linear fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return lin.forward_int(qx, pool); },
-      "Linear int");
-}
-
-TEST(ThreadedForward, Conv2dBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::Conv2d conv(4, 6, 3, 1, 1, rng);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{4, 9, 9}, rng, 1.0);
-  (void)conv.calibrate(x);
-  const QuantParams in_qp{x.amax() / 127.0, 8, true};
-  (void)conv.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return conv.forward_fp(x, pool); }, "Conv2d fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return conv.forward_int(qx, pool); },
-      "Conv2d int");
-}
-
-TEST(ThreadedForward, LayerNormBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::LayerNorm ln(32, rng);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{11, 32}, rng, 1.5);
-  (void)ln.calibrate(x);
-  const QuantParams in_qp{x.amax() / 127.0, 8, true};
-  (void)ln.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return ln.forward_fp(x, pool); },
-      "LayerNorm fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return ln.forward_int(qx, full_provider(), pool);
-      },
-      "LayerNorm int");
-}
-
-TEST(ThreadedForward, SoftmaxBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{9, 12}, rng, 2.0);
-  const QuantParams qp = make_po2_params(x.amax() / 127.0, 8);
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return tfm::Softmax::forward_fp(x, pool); },
-      "Softmax fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return tfm::Softmax::forward_int(qx, full_provider(), pool);
-      },
-      "Softmax int");
-}
-
-// ------------------------------------------------- kernel backend parity --
-
 /// Runs `forward()` under the scalar oracle and then under every runnable
-/// registered backend, asserting byte-identical results — the ThreadedForward
-/// equivalence cases re-run across GQA_KERNEL_BACKEND values.
+/// registered backend, asserting byte-identical results.
 template <typename Fn>
 void expect_backend_invariant(const Fn& forward, const char* what) {
   const auto reference = [&] {
@@ -584,7 +506,7 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
     (void)lin.freeze(in_qp, tfm::QuantPolicy{});
     const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
     const std::string what = "Linear int out=" + std::to_string(out);
-    expect_backend_invariant([&] { return lin.forward_int(qx, nullptr); },
+    expect_backend_invariant([&] { return lin.forward_int(qx); },
                              what.c_str());
   }
 }
@@ -615,9 +537,9 @@ void expect_conv_backend_invariant(const ConvCase& c, Rng& rng,
       " k=" + std::to_string(c.kernel) + " s=" + std::to_string(c.stride) +
       " p=" + std::to_string(c.pad) + " " + std::to_string(c.h) + "x" +
       std::to_string(c.w);
-  expect_backend_invariant([&] { return conv.forward_int(qx, nullptr); },
+  expect_backend_invariant([&] { return conv.forward_int(qx); },
                            what.c_str());
-  expect_backend_invariant([&] { return conv.forward_int(qx, nullptr, &ws); },
+  expect_backend_invariant([&] { return conv.forward_int(qx, &ws); },
                            what.c_str());
 }
 
@@ -703,174 +625,15 @@ TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
   (void)ln.freeze(ln_qp, tfm::QuantPolicy{});
   const tfm::QTensor qxl = tfm::QTensor::quantize(xl, ln_qp);
   expect_backend_invariant(
-      [&] { return ln.forward_int(qxl, full_provider(), nullptr); },
+      [&] { return ln.forward_int(qxl, full_provider()); },
       "LayerNorm int");
 
   tfm::Tensor xs = tfm::Tensor::randn(tfm::Shape{9, 13}, rng, 2.0);
   const QuantParams sm_qp = make_po2_params(xs.amax() / 127.0, 8);
   const tfm::QTensor qxs = tfm::QTensor::quantize(xs, sm_qp);
   expect_backend_invariant(
-      [&] { return tfm::Softmax::forward_int(qxs, full_provider(), nullptr); },
+      [&] { return tfm::Softmax::forward_int(qxs, full_provider()); },
       "Softmax int");
-}
-
-TEST(ThreadedForward, ActivationBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::Activation act(Op::kGelu);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{10, 16}, rng, 1.5);
-  (void)act.calibrate(x);
-  const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
-  (void)act.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return act.forward_fp(x, pool); },
-      "Activation fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return act.forward_int(qx, full_provider(), pool);
-      },
-      "Activation int");
-}
-
-TEST(ThreadedForward, ResidualAddBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::ResidualAdd add;
-  tfm::Tensor a = tfm::Tensor::randn(tfm::Shape{7, 8}, rng, 1.0);
-  tfm::Tensor b = tfm::Tensor::randn(tfm::Shape{7, 8}, rng, 1.0);
-  (void)add.calibrate(a, b);
-  const QuantParams a_qp{a.amax() / 127.0, 8, true};
-  const QuantParams b_qp{b.amax() / 127.0, 8, true};
-  (void)add.freeze(a_qp, b_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qa = tfm::QTensor::quantize(a, a_qp);
-  const tfm::QTensor qb = tfm::QTensor::quantize(b, b_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return add.forward_fp(a, b, pool); },
-      "ResidualAdd fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return add.forward_int(qa, qb, pool); },
-      "ResidualAdd int");
-}
-
-TEST(ThreadedForward, AttentionSRBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::AttentionSR attn(16, 2, 2, rng);
-  tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{16, 16}, rng, 0.7);
-  (void)attn.calibrate(tokens, 4, 4);
-  const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
-  (void)attn.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return attn.forward_fp(tokens, 4, 4, pool); },
-      "AttentionSR fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return attn.forward_int(qx, 4, 4, full_provider(), pool);
-      },
-      "AttentionSR int");
-}
-
-TEST(ThreadedForward, LinearAttentionBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::LinearAttention attn(16, rng);
-  tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{24, 16}, rng, 0.7);
-  (void)attn.calibrate(tokens);
-  const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
-  (void)attn.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return attn.forward_fp(tokens, pool); },
-      "LinearAttention fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return attn.forward_int(qx, full_provider(), pool);
-      },
-      "LinearAttention int");
-}
-
-TEST(ThreadedForward, MixFfnBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::MixFfn ffn(8, 32, rng);
-  tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{16, 8}, rng, 0.7);
-  (void)ffn.calibrate(tokens, 4, 4);
-  const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
-  (void)ffn.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return ffn.forward_fp(tokens, 4, 4, pool); },
-      "MixFfn fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return ffn.forward_int(qx, 4, 4, full_provider(), pool);
-      },
-      "MixFfn int");
-}
-
-TEST(ThreadedForward, MbConvBitIdentical) {
-  Rng rng = eq_rng();
-  tfm::MbConv block(8, 8, 2, 1, rng);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{8, 6, 6}, rng, 0.7);
-  (void)block.calibrate(x);
-  const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
-  (void)block.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return block.forward_fp(x, pool); },
-      "MbConv fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return block.forward_int(qx, full_provider(), pool);
-      },
-      "MbConv int");
-}
-
-TEST(ThreadedForward, SegformerModelBitIdenticalAt124Threads) {
-  tfm::SegformerConfig cfg;
-  cfg.image_size = 32;
-  cfg.num_classes = 5;
-  cfg.dims = {8, 16, 16, 16};
-  cfg.heads = {1, 2, 2, 2};
-  cfg.sr_ratios = {4, 2, 1, 1};
-  cfg.depths = {1, 1, 1, 1};
-  cfg.decoder_dim = 16;
-  tfm::SegformerB0Like model(cfg);
-  Rng rng = eq_rng();
-  const tfm::Tensor image = tfm::Tensor::randn(tfm::Shape{3, 32, 32}, rng, 0.8);
-  model.calibrate(image);
-  model.freeze();
-  const tfm::NonlinearProvider& nl = full_provider();
-  const tfm::QTensor serial_int = model.forward_int(image, nl);
-  const tfm::Tensor serial_fp = model.forward_fp(image);
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    const tfm::QTensor ti = model.forward_int(image, nl, &pool);
-    EXPECT_EQ(serial_int.data(), ti.data()) << threads << " threads (int)";
-    const tfm::Tensor tf = model.forward_fp(image, &pool);
-    EXPECT_EQ(serial_fp.data(), tf.data()) << threads << " threads (fp)";
-  }
-}
-
-TEST(ThreadedForward, EfficientViTModelBitIdenticalAt124Threads) {
-  tfm::EfficientViTConfig cfg;
-  cfg.image_size = 32;
-  cfg.num_classes = 5;
-  cfg.widths = {8, 12, 16, 24};
-  cfg.expand = 2;
-  cfg.head_dim = 24;
-  tfm::EfficientViTB0Like model(cfg);
-  Rng rng = eq_rng();
-  const tfm::Tensor image = tfm::Tensor::randn(tfm::Shape{3, 32, 32}, rng, 0.8);
-  model.calibrate(image);
-  model.freeze();
-  const tfm::NonlinearProvider& nl = full_provider();
-  const tfm::QTensor serial_int = model.forward_int(image, nl);
-  const tfm::Tensor serial_fp = model.forward_fp(image);
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    const tfm::QTensor ti = model.forward_int(image, nl, &pool);
-    EXPECT_EQ(serial_int.data(), ti.data()) << threads << " threads (int)";
-    const tfm::Tensor tf = model.forward_fp(image, &pool);
-    EXPECT_EQ(serial_fp.data(), tf.data()) << threads << " threads (fp)";
-  }
 }
 
 TEST(ThreadedSweep, ScaleSweepBitIdenticalToSerial) {

@@ -10,8 +10,8 @@
 //            (util/artifact_store.h), gated on the warmed units being
 //            bit-identical to the storeless cold fit.
 //   kernel — per-code provider/unit evaluation vs the batched span APIs.
-//   model  — table4/table5-style end-to-end forward passes (SegFormer and
-//            EfficientViT, int + fp), serial vs threaded pool.
+//   model  — table4/table5-style end-to-end serial forward passes
+//            (SegFormer and EfficientViT, int + fp).
 //   serve  — scene-batched InferenceEngine (images/s) vs the serial
 //            per-image loop, with a bit-identity checksum gate; its
 //            `coserve` entry measures the async two-model Server
@@ -32,7 +32,6 @@
 // Usage: bench_to_json [output_dir]   (default: current directory)
 // Knobs: GQA_BENCH_GENERATIONS (default 200) bounds the fit comparison;
 //        GQA_BENCH_REPS (default 3) repetitions, best run kept;
-//        GQA_BENCH_THREADS (default 4) lanes for the threaded forwards;
 //        GQA_SERVE_SCENES (default 12) images per serving dispatch.
 #include <algorithm>
 #include <chrono>
@@ -428,50 +427,33 @@ Json kernel_report(int reps, bool& bit_identical) {
   return j;
 }
 
-/// End-to-end forward timings of one frozen model: serial vs threaded,
-/// integer and fp paths, with a code checksum proving the threaded pass is
-/// bit-identical (not just statistically close) to serial.
+/// End-to-end serial forward timings of one frozen model, integer and fp
+/// paths, with a checksum of the integer logit codes.
 template <typename ModelT>
 Json model_section(const ModelT& model, const tfm::Tensor& image,
-                   const tfm::NonlinearProvider& nl, int reps, int threads) {
-  ThreadPool pool(threads);
-  std::int64_t serial_sum = 0, threaded_sum = 0;
+                   const tfm::NonlinearProvider& nl, int reps) {
+  std::int64_t checksum = 0;
   const double int_serial_ms = time_best_ms(reps, [&] {
     const tfm::QTensor y = model.forward_int(image, nl);
-    serial_sum = 0;
-    for (std::int32_t v : y.data()) serial_sum += v;
-  });
-  const double int_threaded_ms = time_best_ms(reps, [&] {
-    const tfm::QTensor y = model.forward_int(image, nl, &pool);
-    threaded_sum = 0;
-    for (std::int32_t v : y.data()) threaded_sum += v;
+    checksum = 0;
+    for (std::int32_t v : y.data()) checksum += v;
   });
   const double fp_serial_ms =
       time_best_ms(reps, [&] { (void)model.forward_fp(image); });
-  const double fp_threaded_ms =
-      time_best_ms(reps, [&] { (void)model.forward_fp(image, &pool); });
 
   Json j = Json::object();
-  j["threads"] = Json(threads);
   j["int_serial_ms"] = Json(int_serial_ms);
-  j["int_threaded_ms"] = Json(int_threaded_ms);
-  j["int_speedup"] = Json(int_serial_ms / int_threaded_ms);
   j["fp_serial_ms"] = Json(fp_serial_ms);
-  j["fp_threaded_ms"] = Json(fp_threaded_ms);
-  j["fp_speedup"] = Json(fp_serial_ms / fp_threaded_ms);
-  j["logit_code_checksum"] = Json(static_cast<double>(serial_sum));
-  j["threaded_bit_identical"] = Json(serial_sum == threaded_sum);
+  j["logit_code_checksum"] = Json(static_cast<double>(checksum));
   return j;
 }
 
 Json model_report(int reps) {
-  const int threads = static_cast<int>(env_int("GQA_BENCH_THREADS", 4));
   Json j = Json::object();
   j["bench"] = Json("model");
 
   // SegFormer slice (table4 op inventory: EXP/GELU/DIV/RSQRT) at reduced
-  // width so the bench stays CI-sized; the threading behaviour is the same
-  // as the full table4 run (GQA_NUM_THREADS on table4_segformer).
+  // width so the bench stays CI-sized.
   {
     tfm::SegformerConfig cfg;
     cfg.image_size = 48;
@@ -491,7 +473,7 @@ Json model_report(int reps) {
         Method::kGqaRm, {Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt});
     nl.warm_up({Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt},
                tfm::NonlinearProvider::deployment_scale_exps());
-    j["segformer"] = model_section(model, image, nl, reps, threads);
+    j["segformer"] = model_section(model, image, nl, reps);
   }
 
   // EfficientViT slice (table5 inventory: HSWISH/DIV).
@@ -512,7 +494,7 @@ Json model_report(int reps) {
         Method::kGqaRm, {Op::kHswish, Op::kDiv});
     nl.warm_up({Op::kHswish, Op::kDiv},
                tfm::NonlinearProvider::deployment_scale_exps());
-    j["efficientvit"] = model_section(model, image, nl, reps, threads);
+    j["efficientvit"] = model_section(model, image, nl, reps);
   }
   return j;
 }
