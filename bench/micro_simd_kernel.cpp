@@ -136,6 +136,45 @@ int main() {
     add_row(table, "GEMM dot i32*i8", r, all_ok);
   }
   {
+    // The GEMM's 4-row block on 8-bit activation codes narrowed to int16
+    // (what the integer GEMM hands it), against four scalar dot loops.
+    std::vector<std::int16_t> acts16(kBatch);
+    std::vector<std::int8_t> rows4(4 * kBatch);
+    for (std::int16_t& v : acts16) {
+      v = static_cast<std::int16_t>(rng.uniform_int(-128, 127));
+    }
+    for (std::int8_t& v : rows4) {
+      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+    Row r;
+    std::vector<std::int64_t> scalar_sums(4), simd_sums(4);
+    r.scalar_ms = time_best_ms(reps, [&] {
+      std::fill(scalar_sums.begin(), scalar_sums.end(), 0);
+      for (int l = 0; l < kLoops; ++l) {
+        for (std::size_t row = 0; row < 4; ++row) {
+          for (std::size_t i = 0; i < kBatch; ++i) {
+            scalar_sums[row] += static_cast<std::int64_t>(acts16[i]) *
+                                rows4[row * kBatch + i];
+          }
+        }
+      }
+    });
+    r.simd_ms = r.scalar_ms;
+    r.identical = true;
+    if (ops.dot4_i16_i8 != nullptr) {
+      r.simd_ms = time_best_ms(reps, [&] {
+        std::fill(simd_sums.begin(), simd_sums.end(), 0);
+        for (int l = 0; l < kLoops; ++l) {
+          std::int32_t out[4];
+          ops.dot4_i16_i8(acts16.data(), rows4.data(), kBatch, kBatch, out);
+          for (std::size_t row = 0; row < 4; ++row) simd_sums[row] += out[row];
+        }
+      });
+      r.identical = scalar_sums == simd_sums;
+    }
+    add_row(table, "GEMM dot4 i16*i8 (4 rows)", r, all_ok);
+  }
+  {
     Row r;
     std::int64_t scalar_sum = 0, simd_sum = 0;
     r.scalar_ms = time_best_ms(reps, [&] {

@@ -76,18 +76,20 @@ struct KernelOps {
   void (*pwl_eval_reals_sat)(const PwlTableView&, const std::int64_t* q,
                              double* out, std::size_t n) = nullptr;
   /// Σ a[i]·w[i] with int64 accumulation. Callers: the integer GEMM behind
-  /// Linear::forward_int and the dense Conv2d lowering, for the outputs
-  /// left over after the last block of 4 (dot4_i32_i8); perfbench's
-  /// `kernel.dot_i32_i8_ns` probe.
+  /// Linear::forward_int and the dense Conv2d lowering, for activation rows
+  /// too wide for dot4_i16_i8 and for the outputs left over after the last
+  /// block of 4; perfbench's `kernel.dot_i32_i8_ns` probe.
   std::int64_t (*dot_i32_i8)(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) = nullptr;
-  /// out[r] = Σ a[i]·w[r·w_stride + i] for r = 0..3, int64 accumulation:
-  /// one activation row against a block of 4 weight rows. The inner step
-  /// of the integer GEMM behind Linear::forward_int and the dense
-  /// (im2col-lowered) Conv2d::forward_int. Scalar oracle: four dot loops.
-  void (*dot4_i32_i8)(const std::int32_t* a, const std::int8_t* w,
+  /// out[r] = Σ a[i]·w[r·w_stride + i] for r = 0..3, int32 accumulation:
+  /// one int16-narrowed activation row against a block of 4 weight rows.
+  /// The inner step of the integer GEMM behind Linear::forward_int and the
+  /// dense (im2col-lowered) Conv2d::forward_int. Caller guarantees
+  /// n·max|a|·128 ≤ INT32_MAX, which bounds every partial sum in any order,
+  /// so the int32 result is the exact sum. Scalar oracle: four dot loops.
+  void (*dot4_i16_i8)(const std::int16_t* a, const std::int8_t* w,
                       std::size_t w_stride, std::size_t n,
-                      std::int64_t* out) = nullptr;
+                      std::int32_t* out) = nullptr;
   /// acc[i] += w·x[i] over an int64 row. Caller: the depthwise
   /// Conv2d::forward_int lowering, one stride-1 output row per kernel tap.
   void (*axpy_i64_i32)(std::int64_t* acc, const std::int32_t* x,

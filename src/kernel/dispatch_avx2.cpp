@@ -9,6 +9,9 @@
 //  - 32x32->64 signed multiplies (_mm256_mul_epi32) are exact whenever
 //    both operands fit int32, which the PwlTableView eligibility
 //    invariants and the call-site gates guarantee;
+//  - the int16 x int8 GEMM block (_mm256_madd_epi16 into int32 lanes) is
+//    exact because its caller bounds n·max|a|·128 ≤ INT32_MAX, which caps
+//    every partial sum of the row;
 //  - AVX2 has no 64-bit min/max, so saturation clamps are compare+blend
 //    against the same BusBounds the scalar clamp_to_bus uses;
 //  - int64->double uses the 2^52+2^51 magic-constant trick, exact for
@@ -272,35 +275,19 @@ inline __m256i odd_dwords(__m256i v) {
   return _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 1, 1));
 }
 
-/// acc += the 8 exact products av[j]·w[j], pairwise summed into 4 int64
-/// lanes; `av_odd` is odd_dwords(av), hoisted so several weight rows share
-/// one activation load.
-inline __m256i mac8_i32_i8(__m256i acc, __m256i av, __m256i av_odd,
-                           const std::int8_t* w) {
-  const __m256i wv = _mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w)));
-  const __m256i even = _mm256_mul_epi32(av, wv);
-  const __m256i odd = _mm256_mul_epi32(av_odd, odd_dwords(wv));
-  return _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
-}
-
-/// acc += av64[j]·w[j] for 4 lanes; `av64` holds 4 activations widened to
-/// int64 (mul_epi32 reads each lane's low dword, the original value).
-inline __m256i mac4_i32_i8(__m256i acc, __m256i av64, const std::int8_t* w) {
-  std::int32_t packed;
-  std::memcpy(&packed, w, sizeof(packed));
-  const __m256i wv = _mm256_cvtepi8_epi64(_mm_cvtsi32_si128(packed));
-  return _mm256_add_epi64(acc, _mm256_mul_epi32(av64, wv));
-}
-
 std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) {
   __m256i acc = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
+    // The 8 exact products, pairwise summed into 4 int64 lanes.
     const __m256i av =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc = mac8_i32_i8(acc, av, odd_dwords(av), w + i);
+    const __m256i wv = _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i)));
+    const __m256i even = _mm256_mul_epi32(av, wv);
+    const __m256i odd = _mm256_mul_epi32(odd_dwords(av), odd_dwords(wv));
+    acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
@@ -309,8 +296,23 @@ std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
   return sum;
 }
 
-void avx2_dot4_i32_i8(const std::int32_t* a, const std::int8_t* w,
-                      std::size_t w_stride, std::size_t n, std::int64_t* out) {
+/// acc += the 16 products av[j]·w[j], pairwise summed into 8 int32 lanes
+/// (vpmaddwd); the weights widen to int16 in-register, so |w| ≤ 128 keeps
+/// each pair sum far inside int32.
+inline __m256i mac16_i16_i8(__m256i acc, __m256i av, const std::int8_t* w) {
+  const __m256i wv = _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
+}
+
+/// acc += av[j]·w8[j] over 8 int16 lanes, pairwise summed into 4 int32
+/// lanes. The 4-wide step passes zeros in the upper 4 lanes of both.
+inline __m128i mac8_i16_i8(__m128i acc, __m128i av, __m128i w8) {
+  return _mm_add_epi32(acc, _mm_madd_epi16(av, _mm_cvtepi8_epi16(w8)));
+}
+
+void avx2_dot4_i16_i8(const std::int16_t* a, const std::int8_t* w,
+                      std::size_t w_stride, std::size_t n, std::int32_t* out) {
   const std::int8_t* w0 = w;
   const std::int8_t* w1 = w + w_stride;
   const std::int8_t* w2 = w + 2 * w_stride;
@@ -320,36 +322,54 @@ void avx2_dot4_i32_i8(const std::int32_t* a, const std::int8_t* w,
   __m256i acc2 = _mm256_setzero_si256();
   __m256i acc3 = _mm256_setzero_si256();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (; i + 16 <= n; i += 16) {
     const __m256i av =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i av_odd = odd_dwords(av);
-    acc0 = mac8_i32_i8(acc0, av, av_odd, w0 + i);
-    acc1 = mac8_i32_i8(acc1, av, av_odd, w1 + i);
-    acc2 = mac8_i32_i8(acc2, av, av_odd, w2 + i);
-    acc3 = mac8_i32_i8(acc3, av, av_odd, w3 + i);
+    acc0 = mac16_i16_i8(acc0, av, w0 + i);
+    acc1 = mac16_i16_i8(acc1, av, w1 + i);
+    acc2 = mac16_i16_i8(acc2, av, w2 + i);
+    acc3 = mac16_i16_i8(acc3, av, w3 + i);
   }
-  if (i + 4 <= n) {  // one 4-wide step keeps short rows off the scalar tail
-    const __m256i av = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    acc0 = mac4_i32_i8(acc0, av, w0 + i);
-    acc1 = mac4_i32_i8(acc1, av, w1 + i);
-    acc2 = mac4_i32_i8(acc2, av, w2 + i);
-    acc3 = mac4_i32_i8(acc3, av, w3 + i);
+  // Fold each row's halves to 4 lanes for the 128-bit 8- and 4-wide steps,
+  // which keep short rows (K = 12, 24, 27 1x1 convs) off the scalar tail.
+  const auto fold = [](__m256i v) {
+    return _mm_add_epi32(_mm256_castsi256_si128(v),
+                         _mm256_extracti128_si256(v, 1));
+  };
+  __m128i s0 = fold(acc0);
+  __m128i s1 = fold(acc1);
+  __m128i s2 = fold(acc2);
+  __m128i s3 = fold(acc3);
+  if (i + 8 <= n) {
+    const __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const auto w8 = [&](const std::int8_t* wr) {
+      return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(wr + i));
+    };
+    s0 = mac8_i16_i8(s0, av, w8(w0));
+    s1 = mac8_i16_i8(s1, av, w8(w1));
+    s2 = mac8_i16_i8(s2, av, w8(w2));
+    s3 = mac8_i16_i8(s3, av, w8(w3));
+    i += 8;
+  }
+  if (i + 4 <= n) {
+    const __m128i av = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i));
+    const auto w4 = [&](const std::int8_t* wr) {
+      std::int32_t packed;
+      std::memcpy(&packed, wr + i, sizeof(packed));
+      return _mm_cvtsi32_si128(packed);
+    };
+    s0 = mac8_i16_i8(s0, av, w4(w0));
+    s1 = mac8_i16_i8(s1, av, w4(w1));
+    s2 = mac8_i16_i8(s2, av, w4(w2));
+    s3 = mac8_i16_i8(s3, av, w4(w3));
     i += 4;
   }
-  // One horizontal reduction for the block: pair lanes within each 128-bit
-  // half, then fold the halves, leaving row r's total in lane r.
-  const __m256i s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(acc0, acc1),
-                                       _mm256_unpackhi_epi64(acc0, acc1));
-  const __m256i s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(acc2, acc3),
-                                       _mm256_unpackhi_epi64(acc2, acc3));
-  _mm256_storeu_si256(
-      reinterpret_cast<__m256i*>(out),
-      _mm256_add_epi64(_mm256_permute2x128_si256(s01, s23, 0x20),
-                       _mm256_permute2x128_si256(s01, s23, 0x31)));
+  // Two rounds of pairwise lane sums leave row r's total in lane r.
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_hadd_epi32(_mm_hadd_epi32(s0, s1),
+                                  _mm_hadd_epi32(s2, s3)));
   for (; i < n; ++i) {
-    const std::int64_t ai = a[i];
+    const std::int32_t ai = a[i];
     out[0] += ai * w0[i];
     out[1] += ai * w1[i];
     out[2] += ai * w2[i];
@@ -454,7 +474,7 @@ const KernelBackend kAvx2Backend{
             .pwl_eval_reals = avx2_pwl_eval_reals,
             .pwl_eval_reals_sat = avx2_pwl_eval_reals_sat,
             .dot_i32_i8 = avx2_dot_i32_i8,
-            .dot4_i32_i8 = avx2_dot4_i32_i8,
+            .dot4_i16_i8 = avx2_dot4_i16_i8,
             .axpy_i64_i32 = avx2_axpy_i64_i32,
             .sum_i32 = avx2_sum_i32,
             .ssq_centered_i32 = avx2_ssq_centered_i32,

@@ -44,34 +44,55 @@ int conv_out_size(int in, int kernel, int stride, int pad) {
 }
 
 /// True when the active backend vectorizes the integer GEMM (the 4-row
-/// block and its single-row tail). Otherwise Linear and the dense Conv2d
-/// keep their scalar loops, the oracle.
+/// int16 block and the int64 single-row dot). Otherwise Linear and the
+/// dense Conv2d keep their scalar loops, the oracle.
 bool has_int_gemm(const kernel::KernelOps& ops) {
-  return ops.dot4_i32_i8 != nullptr && ops.dot_i32_i8 != nullptr;
+  return ops.dot4_i16_i8 != nullptr && ops.dot_i32_i8 != nullptr;
 }
 
 /// Integer GEMM shared by Linear and the dense Conv2d lowering. For each of
 /// `rows` activation rows a_i = a[i·k, i·k+k) and each output o with weight
 /// row w_o = w[o·k, o·k+k):
 ///   y[i·row_stride + o·col_stride] = rq(bias[o] + Σ a_i·w_o).
-/// Blocks of 4 outputs share one pass over a_i (dot4_i32_i8); the rest go
-/// through dot_i32_i8. int64 addition is exact in any order, so every
-/// output equals the scalar loop's bias-then-products sum bit for bit.
+/// Each row is narrowed to int16 once. When k·max|a_i|·128 ≤ INT32_MAX,
+/// no partial sum of a_i·w_o can leave int32 (|w| ≤ 128), so blocks of 4
+/// outputs share one pass over the narrowed row (dot4_i16_i8) and are
+/// exact. Rows outside that bound, and the outputs after the last block,
+/// go through the int64 dot_i32_i8. Either way every output equals the
+/// scalar loop's bias-then-products sum bit for bit.
 void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
               std::size_t rows, std::size_t k, const std::vector<std::int8_t>& w,
               const std::vector<std::int32_t>& bias, const Requantizer& rq,
               std::int32_t* y, std::size_t row_stride, std::size_t col_stride) {
   const std::size_t outs = bias.size();
+  // The largest |a| a row may hold and still take the int16 block: it fits
+  // int16 and keeps k·|a|·128 ≤ INT32_MAX (k ≥ 1: Linear and Conv2d reject
+  // empty rows at construction).
+  const std::size_t bound_lim =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) /
+      (128 * k);
+  const std::int32_t a_lim = static_cast<std::int32_t>(std::min<std::size_t>(
+      std::numeric_limits<std::int16_t>::max(), bound_lim));
+  std::vector<std::int16_t> a16(k);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::int32_t* arow = a + i * k;
     std::int32_t* yrow = y + i * row_stride;
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      lo = std::min(lo, arow[j]);
+      hi = std::max(hi, arow[j]);
+      a16[j] = static_cast<std::int16_t>(arow[j]);
+    }
     std::size_t o = 0;
-    for (; o + 4 <= outs; o += 4) {
-      std::int64_t acc[4];
-      ops.dot4_i32_i8(arow, w.data() + o * k, k, k, acc);
-      for (std::size_t r = 0; r < 4; ++r) {
-        yrow[(o + r) * col_stride] =
-            static_cast<std::int32_t>(rq.apply(bias[o + r] + acc[r]));
+    if (lo >= -a_lim && hi <= a_lim) {
+      for (; o + 4 <= outs; o += 4) {
+        std::int32_t acc[4];
+        ops.dot4_i16_i8(a16.data(), w.data() + o * k, k, k, acc);
+        for (std::size_t r = 0; r < 4; ++r) {
+          yrow[(o + r) * col_stride] = static_cast<std::int32_t>(
+              rq.apply(std::int64_t{bias[o + r]} + acc[r]));
+        }
       }
     }
     for (; o < outs; ++o) {
@@ -233,10 +254,11 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
   const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
   const kernel::KernelOps& ops = kernel::active().ops;
-  // Both lowerings below add the bias plus exactly the scalar loop's int64
-  // products (a padding tap contributes 0), and int64 addition reorders
-  // exactly, so the requantized codes are bit-identical to the loop at the
-  // end, which stays the oracle for backends without the kernels.
+  // Both lowerings below add the bias plus exactly the scalar loop's
+  // products (a padding tap contributes 0), summed exactly (int_gemm's
+  // bounded int32 lanes or int64), so the requantized codes are
+  // bit-identical to the loop at the end, which stays the oracle for
+  // backends without the kernels.
   if (!depthwise_ && has_int_gemm(ops)) {
     // im2col: row p = (oy, ox) holds p's receptive field in (ic, ky, kx)
     // order, which is wq_'s per-output-channel layout, so the conv is one

@@ -495,19 +495,67 @@ void expect_backend_invariant(const Fn& forward, const char* what) {
 
 TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
-  // in=21: every GEMM row ends in a tail. The output counts cover a lone
-  // tail output, a tail with no full 4-block, exact 4-blocks, and a
-  // 4-block plus tails.
-  for (const int out : {1, 3, 4, 5, 17}) {
-    tfm::Linear lin(21, out, rng);
-    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 21}, rng, 1.0);
+  // The in_features cover every mix of the int16 block's 16-, 8- and
+  // 4-wide steps and its scalar tail. The output counts cover a lone tail
+  // output, a tail with no full 4-block, exact 4-blocks, and a 4-block
+  // plus tails.
+  for (const int in : {4, 8, 12, 16, 21, 27, 33}) {
+    for (const int out : {1, 3, 4, 5, 17}) {
+      tfm::Linear lin(in, out, rng);
+      tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, in}, rng, 1.0);
+      (void)lin.calibrate(x);
+      const QuantParams in_qp{x.amax() / 127.0, 8, true};
+      (void)lin.freeze(in_qp, tfm::QuantPolicy{});
+      const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+      const std::string what = "Linear int in=" + std::to_string(in) +
+                               " out=" + std::to_string(out);
+      expect_backend_invariant([&] { return lin.forward_int(qx); },
+                               what.c_str());
+    }
+  }
+
+  // One code too wide for int16 sends its row to the int64 dot, while the
+  // other rows keep the int16 block.
+  {
+    tfm::Linear lin(33, 17, rng);
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 33}, rng, 1.0);
     (void)lin.calibrate(x);
     const QuantParams in_qp{x.amax() / 127.0, 8, true};
     (void)lin.freeze(in_qp, tfm::QuantPolicy{});
-    const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-    const std::string what = "Linear int out=" + std::to_string(out);
+    tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+    qx.at(6, 10) = 1 << 20;
     expect_backend_invariant([&] { return lin.forward_int(qx); },
-                             what.c_str());
+                             "Linear int with one 1<<20 code");
+  }
+
+  // A 16-bit input bus with in_features 1024: a row keeps the int16 block
+  // only while every |code| <= INT32_MAX / (1024·128) = 16383. Output 0
+  // has full-scale weights (codes ±127), so a row of 32767-magnitude codes
+  // matching their signs sums past INT32_MAX and is exact only on the
+  // int64 path.
+  {
+    constexpr int kIn = 1024;
+    tfm::Linear lin(kIn, 5, rng);
+    for (int k = 0; k < kIn; ++k) {
+      lin.weights().at(0, k) = k % 3 == 0 ? -1.0F : 1.0F;
+    }
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{6, kIn}, rng, 1.0);
+    for (int k = 0; k < kIn; ++k) {  // rows 0-1 stay inside the bound
+      x.at(0, k) *= 0.25F;
+      x.at(1, k) *= 0.25F;
+    }
+    (void)lin.calibrate(x);
+    const QuantParams in_qp{x.amax() / 32767.0, 16, true};
+    (void)lin.freeze(in_qp, tfm::QuantPolicy{});
+    tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+    for (int k = 0; k < kIn; ++k) {
+      const std::int32_t sign = k % 3 == 0 ? -1 : 1;
+      qx.at(2, k) = sign * 16383;  // at the bound: int16 block, still exact
+      qx.at(3, k) = sign * 16384;  // one past it: int64 dot
+      qx.at(4, k) = sign * 32767;  // int32 would wrap: int64 dot
+    }
+    expect_backend_invariant([&] { return lin.forward_int(qx); },
+                             "Linear int on a 16-bit bus, in=1024");
   }
 }
 

@@ -8,6 +8,7 @@
 // than letting them pass silently against nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -301,28 +302,56 @@ TEST(SimdRowKernelDifferential, DotProductMatchesScalarReference) {
   }
 }
 
+/// Four int64 scalar dot loops: the oracle for dot4_i16_i8.
+std::vector<std::int64_t> four_scalar_dots(const std::int16_t* a,
+                                           const std::int8_t* w,
+                                           std::size_t stride,
+                                           std::size_t len) {
+  std::vector<std::int64_t> sums(4, 0);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t i = 0; i < len; ++i) {
+      sums[r] += static_cast<std::int64_t>(a[i]) * w[r * stride + i];
+    }
+  }
+  return sums;
+}
+
+std::vector<std::int64_t> run_dot4_i16_i8(const KernelBackend& backend,
+                                          const std::int16_t* a,
+                                          const std::int8_t* w,
+                                          std::size_t stride,
+                                          std::size_t len) {
+  std::int32_t got[4] = {-1, -1, -1, -1};
+  backend.ops.dot4_i16_i8(a, w, stride, len, got);
+  return {got[0], got[1], got[2], got[3]};
+}
+
 TEST(SimdRowKernelDifferential, Dot4MatchesFourScalarDots) {
   const auto backends = available_simd_backends();
   GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
-  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
-  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
+  constexpr std::int16_t kMax = std::numeric_limits<std::int16_t>::max();
   Rng rng(0xD074);
   for (const KernelBackend* backend : backends) {
-    if (backend->ops.dot4_i32_i8 == nullptr) continue;
+    if (backend->ops.dot4_i16_i8 == nullptr) continue;
+    // 0..67 covers every mix of 16-, 8- and 4-wide steps and scalar tail.
     for (std::size_t len = 0; len <= 67; ++len) {
       for (std::size_t offset = 0; offset <= 3; ++offset) {
-        // Row stride not a multiple of 8, so rows 1-3 start misaligned too.
-        const std::size_t stride = len + offset + 5;
-        std::vector<std::int32_t> a(len + offset + 8, 0);
-        std::vector<std::int8_t> w(4 * stride + offset + 8, 0);
-        for (std::int32_t& v : a) {
-          v = static_cast<std::int32_t>(rng.uniform_int(kMin, kMax));
+        // An odd row stride (never a multiple of 16), so rows 1-3 start
+        // misaligned too.
+        const std::size_t stride = (len + offset + 5) | 1;
+        std::vector<std::int16_t> a(len + offset + 16, 0);
+        std::vector<std::int8_t> w(4 * stride + offset + 16, 0);
+        for (std::int16_t& v : a) {
+          v = static_cast<std::int16_t>(rng.uniform_int(kMin, kMax));
         }
         for (std::int8_t& v : w) {
           v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
         }
-        // INT32_MIN/MAX codes against -128/127 weights, at the first
-        // element (vector body) and the last (tail once len % 4 != 0).
+        // INT16_MIN/MAX codes against -128/127 weights, at the first
+        // element (vector body once len >= 4) and the last (scalar tail
+        // once len % 4 != 0). Even at len 67 every partial sum stays
+        // within 67·32768·128 < INT32_MAX, the kernel's precondition.
         if (len >= 2) {
           a[offset] = kMin;
           a[offset + len - 1] = kMax;
@@ -331,22 +360,37 @@ TEST(SimdRowKernelDifferential, Dot4MatchesFourScalarDots) {
             w[offset + r * stride + len - 1] = r % 2 == 0 ? 127 : -128;
           }
         }
-        std::int64_t expected[4] = {0, 0, 0, 0};
-        for (std::size_t r = 0; r < 4; ++r) {
-          for (std::size_t i = 0; i < len; ++i) {
-            expected[r] += static_cast<std::int64_t>(a[offset + i]) *
-                           w[offset + r * stride + i];
-          }
-        }
-        std::int64_t got[4] = {-1, -1, -1, -1};
-        backend->ops.dot4_i32_i8(a.data() + offset, w.data() + offset, stride,
-                                 len, got);
-        for (std::size_t r = 0; r < 4; ++r) {
-          EXPECT_EQ(expected[r], got[r]) << backend->name << " len=" << len
-                                         << " offset=" << offset << " row=" << r;
-        }
+        EXPECT_EQ(four_scalar_dots(a.data() + offset, w.data() + offset,
+                                   stride, len),
+                  run_dot4_i16_i8(*backend, a.data() + offset,
+                                  w.data() + offset, stride, len))
+            << backend->name << " len=" << len << " offset=" << offset;
       }
     }
+  }
+}
+
+TEST(SimdRowKernelDifferential, Dot4ExactAtTheInt32Bound) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  // n·max|a|·128 = 16384·1023·128 = 2,145,386,496: exactly the caller's
+  // bound, 2,097,151 below INT32_MAX. Rows 0 and 2 reach it; rows 1 and 3
+  // (weights 127) sum to its negative side.
+  constexpr std::size_t kLen = 16384;
+  const std::vector<std::int16_t> a(kLen, -1023);
+  std::vector<std::int8_t> w(4 * kLen);
+  for (std::size_t r = 0; r < 4; ++r) {
+    std::fill(w.begin() + r * kLen, w.begin() + (r + 1) * kLen,
+              static_cast<std::int8_t>(r % 2 == 0 ? -128 : 127));
+  }
+  const std::vector<std::int64_t> expected =
+      four_scalar_dots(a.data(), w.data(), kLen, kLen);
+  ASSERT_EQ(expected[0], 2145386496);
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.dot4_i16_i8 == nullptr) continue;
+    EXPECT_EQ(expected,
+              run_dot4_i16_i8(*backend, a.data(), w.data(), kLen, kLen))
+        << backend->name;
   }
 }
 
