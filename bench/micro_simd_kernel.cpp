@@ -1,5 +1,5 @@
-// SIMD kernel dispatch throughput: the dense-table PWL eval and the integer
-// row kernels timed under the scalar oracle vs the runtime-dispatched
+// SIMD kernel dispatch throughput: the dense-table PWL eval, the integer
+// row kernels and the dyadic requantizer timed under the scalar oracle vs the runtime-dispatched
 // backend (kernel/dispatch.h), per bus width. Every row is checksum-gated:
 // the dispatched outputs must be bit-identical to the scalar oracle's, and
 // any divergence exits non-zero (CI runs this in smoke mode as the
@@ -21,6 +21,7 @@
 #include "core/approximator.h"
 #include "kernel/dispatch.h"
 #include "kernel/int_pwl_unit.h"
+#include "quant/requant.h"
 #include "util/rng.h"
 
 using namespace gqa;
@@ -217,6 +218,44 @@ int main() {
       r.identical = scalar_peak == simd_peak;
     }
     add_row(table, "Softmax row max", r, all_ok);
+  }
+
+  {
+    // The dyadic requantizer behind every GEMM row: 256-wide int32
+    // accumulator rows (a Linear's output width) onto an 8-bit bus, against
+    // the per-element Requantizer::apply loop. The ratio is not a power of
+    // two, and the accumulators span enough to saturate both ends.
+    constexpr std::size_t kRow = 256;
+    const Requantizer rq(1.0, QuantParams{500.0, 8, true});
+    const Dyadic& m = rq.multiplier();
+    const BusBounds bus = bus_bounds(8, true);
+    std::vector<std::int32_t> accs(kBatch);
+    for (std::int32_t& v : accs) {
+      v = static_cast<std::int32_t>(rng.uniform_int(-65536, 65536));
+    }
+    std::vector<std::int32_t> scalar_out(kBatch), simd_out(kBatch);
+    Row r;
+    r.scalar_ms = time_best_ms(reps, [&] {
+      for (int l = 0; l < kLoops; ++l) {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          scalar_out[i] = static_cast<std::int32_t>(rq.apply(accs[i]));
+        }
+      }
+    });
+    r.simd_ms = r.scalar_ms;
+    r.identical = true;
+    if (ops.requant_i32 != nullptr) {
+      r.simd_ms = time_best_ms(reps, [&] {
+        for (int l = 0; l < kLoops; ++l) {
+          for (std::size_t i = 0; i < kBatch; i += kRow) {
+            ops.requant_i32(accs.data() + i, m.mult, m.shift, bus,
+                            simd_out.data() + i, kRow);
+          }
+        }
+      });
+      r.identical = scalar_out == simd_out;
+    }
+    add_row(table, "Requantize i32 row (8-bit bus)", r, all_ok);
   }
 
   bench::emit(table, "simd_kernel");

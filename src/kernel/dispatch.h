@@ -16,9 +16,10 @@
 // Integer reductions reorder freely (integer addition is associative in the
 // no-overflow domain the buses guarantee); floating-point reductions may
 // NOT be vectorized (FP addition is not associative), which is why the
-// Softmax exp-sum and all requantizer math stay scalar. The differential
-// suite (tests/simd_kernel_test.cpp) and the checksum-gated kernel_simd
-// bench section enforce the contract.
+// Softmax exp-sum stays scalar. The dyadic requantizer is integer math
+// (exact multiply, rounding shift, clamp) and vectorizes exactly. The
+// differential suite (tests/simd_kernel_test.cpp) and the checksum-gated
+// kernel_simd bench section enforce the contract.
 #pragma once
 
 #include <cstddef>
@@ -90,10 +91,19 @@ struct KernelOps {
   void (*dot4_i16_i8)(const std::int16_t* a, const std::int8_t* w,
                       std::size_t w_stride, std::size_t n,
                       std::int32_t* out) = nullptr;
-  /// acc[i] += w·x[i] over an int64 row. Caller: the depthwise
-  /// Conv2d::forward_int lowering, one stride-1 output row per kernel tap.
-  void (*axpy_i64_i32)(std::int64_t* acc, const std::int32_t* x,
-                       std::int32_t w, std::size_t n) = nullptr;
+  /// acc[i] += w·x[i] over an int32 row. Caller: the depthwise
+  /// Conv2d::forward_int lowering, one stride-1 output row per kernel tap,
+  /// which guarantees |bias| + taps·|w·x| ≤ INT32_MAX, so no lane wraps.
+  void (*axpy_i32)(std::int32_t* acc, const std::int32_t* x, std::int32_t w,
+                   std::size_t n) = nullptr;
+  /// y[i] = clamp_to_bus(shift_round(int64(acc[i])·mult, shift), out),
+  /// narrowed to int32 as static_cast would — Requantizer::apply on an int32
+  /// accumulator row. `y` may alias `acc`. Caller guarantees 0 ≤ shift < 63
+  /// (the products are exact: |acc·mult| ≤ 2^62). Callers: the tfm
+  /// requantize_row helper behind every GEMM row, depthwise plane, residual
+  /// operand and model-head alignment.
+  void (*requant_i32)(const std::int32_t* acc, std::int32_t mult, int shift,
+                      BusBounds out, std::int32_t* y, std::size_t n) = nullptr;
   /// Σ x[i] widened to int64 (LayerNorm row sum).
   std::int64_t (*sum_i32)(const std::int32_t* x, std::size_t n) = nullptr;
   /// Σ (dim·x[i] − sum)² — the D-scaled centered second moment of a

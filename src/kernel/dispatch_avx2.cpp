@@ -11,7 +11,10 @@
 //    invariants and the call-site gates guarantee;
 //  - the int16 x int8 GEMM block (_mm256_madd_epi16 into int32 lanes) is
 //    exact because its caller bounds n·max|a|·128 ≤ INT32_MAX, which caps
-//    every partial sum of the row;
+//    every partial sum of the row; the int32 depthwise axpy likewise;
+//  - the requantizer's rounding shift is the branch-free shift_round
+//    identity on exact int64 products, with the missing 64-bit arithmetic
+//    shift emulated by a logical shift plus sign extension;
 //  - AVX2 has no 64-bit min/max, so saturation clamps are compare+blend
 //    against the same BusBounds the scalar clamp_to_bus uses;
 //  - int64->double uses the 2^52+2^51 magic-constant trick, exact for
@@ -29,6 +32,7 @@
 
 #include <cstring>
 
+#include "numerics/rounding.h"
 #include "util/contracts.h"
 
 namespace gqa::kernel {
@@ -377,19 +381,69 @@ void avx2_dot4_i16_i8(const std::int16_t* a, const std::int8_t* w,
   }
 }
 
-void avx2_axpy_i64_i32(std::int64_t* acc, const std::int32_t* x,
-                       std::int32_t w, std::size_t n) {
-  const __m256i wv = _mm256_set1_epi64x(w);
+void avx2_axpy_i32(std::int32_t* acc, const std::int32_t* x, std::int32_t w,
+                   std::size_t n) {
+  const __m256i wv = _mm256_set1_epi32(w);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i xv = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m256i sum = _mm256_add_epi64(
+  for (; i + 8 <= n; i += 8) {
+    const __m256i xv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    const __m256i sum = _mm256_add_epi32(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)),
-        _mm256_mul_epi32(xv, wv));
+        _mm256_mullo_epi32(xv, wv));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), sum);
   }
-  for (; i < n; ++i) acc[i] += static_cast<std::int64_t>(w) * x[i];
+  for (; i < n; ++i) acc[i] += w * x[i];
+}
+
+/// The dyadic requantizer on 4 exact int64 products: round half away from
+/// zero as p + 2^(s−1) − [p<0] (`half` and `neg_on` are zero when s = 0),
+/// then an arithmetic right shift, which AVX2 lacks for 64-bit lanes:
+/// shift logically, then sign-extend from bit 63−s as (v ^ m) − m with
+/// m = 2^(63−s). Finally the bus clamp.
+inline __m256i requant_epi64(__m256i p, __m256i half, __m256i neg_on,
+                             __m128i count, __m256i sign_bit, __m256i lo,
+                             __m256i hi) {
+  const __m256i neg =
+      _mm256_and_si256(_mm256_cmpgt_epi64(_mm256_setzero_si256(), p), neg_on);
+  const __m256i biased = _mm256_add_epi64(_mm256_add_epi64(p, half), neg);
+  const __m256i shifted = _mm256_sub_epi64(
+      _mm256_xor_si256(_mm256_srl_epi64(biased, count), sign_bit), sign_bit);
+  return clamp_epi64(shifted, lo, hi);
+}
+
+void avx2_requant_i32(const std::int32_t* acc, std::int32_t mult, int shift,
+                      BusBounds out, std::int32_t* y, std::size_t n) {
+  const __m256i mv = _mm256_set1_epi32(mult);
+  const __m256i half = _mm256_set1_epi64x(
+      shift > 0 ? std::int64_t{1} << (shift - 1) : 0);
+  const __m256i neg_on = _mm256_set1_epi64x(shift > 0 ? -1 : 0);
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  const __m256i sign_bit = _mm256_set1_epi64x(
+      static_cast<long long>(std::uint64_t{1} << (63 - shift)));
+  const __m256i lo = _mm256_set1_epi64x(out.lo);
+  const __m256i hi = _mm256_set1_epi64x(out.hi);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i av =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    // Even dwords multiply in place; odd dwords move down first. Both give
+    // exact int64 products of the sign-extended int32 operands.
+    const __m256i even = requant_epi64(_mm256_mul_epi32(av, mv), half, neg_on,
+                                       count, sign_bit, lo, hi);
+    const __m256i odd =
+        requant_epi64(_mm256_mul_epi32(_mm256_srli_epi64(av, 32), mv), half,
+                      neg_on, count, sign_bit, lo, hi);
+    // Low dword of each int64 result (static_cast's narrowing) back into
+    // its element's position.
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(y + i),
+        _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA));
+  }
+  for (; i < n; ++i) {
+    y[i] = static_cast<std::int32_t>(clamp_to_bus(
+        shift_round(static_cast<std::int64_t>(acc[i]) * mult, shift), out));
+  }
 }
 
 std::int64_t avx2_sum_i32(const std::int32_t* x, std::size_t n) {
@@ -475,7 +529,8 @@ const KernelBackend kAvx2Backend{
             .pwl_eval_reals_sat = avx2_pwl_eval_reals_sat,
             .dot_i32_i8 = avx2_dot_i32_i8,
             .dot4_i16_i8 = avx2_dot4_i16_i8,
-            .axpy_i64_i32 = avx2_axpy_i64_i32,
+            .axpy_i32 = avx2_axpy_i32,
+            .requant_i32 = avx2_requant_i32,
             .sum_i32 = avx2_sum_i32,
             .ssq_centered_i32 = avx2_ssq_centered_i32,
             .max_i32 = avx2_max_i32,

@@ -75,14 +75,16 @@ namespace detail {
 
 /// Right-shift with round-to-nearest-away on the shifted-out bits; the
 /// behaviour of a hardware rounding shifter. `shift` must be >= 0.
+///
+/// Branch-free on the value's sign: the arithmetic shift floors, so adding
+/// half the step rounds ties up, and subtracting [v < 0] turns a negative
+/// tie (and only a tie) back down, i.e. away from zero. The same formula
+/// is what the SIMD requantizer lanes compute (kernel/dispatch.h).
 [[nodiscard]] inline std::int64_t shift_round(std::int64_t value, int shift) {
   GQA_EXPECTS(shift >= 0 && shift < 63);
   if (shift == 0) return value;
   const std::int64_t offset = std::int64_t{1} << (shift - 1);
-  if (value >= 0) return (value + offset) >> shift;
-  // Arithmetic shift of negatives rounds toward -inf; bias to round half
-  // away from zero.
-  return -((-value + offset) >> shift);
+  return (value + offset - static_cast<std::int64_t>(value < 0)) >> shift;
 }
 
 }  // namespace gqa

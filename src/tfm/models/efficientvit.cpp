@@ -280,17 +280,13 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
   const int w = f3.shape()[2];
   const int c3 = f3.shape()[0];
   const int c4 = f4_up.shape()[0];
+  GQA_EXPECTS(f4_up.shape()[1] == h && f4_up.shape()[2] == w);
   QTensor fused = ws_qtensor(ws, Shape{c3 + c4, h, w}, fuse_qp_);
-  for (int c = 0; c < c3; ++c)
-    for (int yy = 0; yy < h; ++yy)
-      for (int xx = 0; xx < w; ++xx)
-        fused.at(c, yy, xx) =
-            static_cast<std::int32_t>(rq_f3_.apply(f3.at(c, yy, xx)));
-  for (int c = 0; c < c4; ++c)
-    for (int yy = 0; yy < h; ++yy)
-      for (int xx = 0; xx < w; ++xx)
-        fused.at(c3 + c, yy, xx) =
-            static_cast<std::int32_t>(rq_f4_.apply(f4_up.at(c, yy, xx)));
+  // Channel-major maps: f3 fills the first c3 planes, f4_up the rest.
+  requantize_row(rq_f3_, f3.data().data(), fused.data().data(),
+                 f3.data().size());
+  requantize_row(rq_f4_, f4_up.data().data(),
+                 fused.data().data() + f3.data().size(), f4_up.data().size());
   ws_release(ws, std::move(f4_up));
   QTensor conv = head_conv_->forward_int(fused, ws);
   ws_release(ws, std::move(fused));

@@ -306,10 +306,8 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
     ws_release(ws, std::move(feat_tokens));
     // Requantize onto the common head scale, then upsample codes.
     QTensor aligned = ws_qtensor(ws, proj.shape(), head_qp_);
-    for (std::size_t i = 0; i < proj.data().size(); ++i) {
-      aligned.data()[i] = static_cast<std::int32_t>(
-          head_rq_[static_cast<std::size_t>(s)].apply(proj.data()[i]));
-    }
+    requantize_row(head_rq_[static_cast<std::size_t>(s)], proj.data().data(),
+                   aligned.data().data(), proj.data().size());
     ws_release(ws, std::move(proj));
     QTensor aligned_map =
         from_tokens(aligned, feat.shape()[1], feat.shape()[2], ws);

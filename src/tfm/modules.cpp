@@ -43,6 +43,13 @@ int conv_out_size(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+/// max |v[i]|, widened so that INT32_MIN has a magnitude (0 when empty).
+std::int64_t max_abs(const std::vector<std::int32_t>& v) {
+  std::int64_t m = 0;
+  for (const std::int32_t e : v) m = std::max(m, std::abs(std::int64_t{e}));
+  return m;
+}
+
 /// True when the active backend vectorizes the integer GEMM (the 4-row
 /// int16 block and the int64 single-row dot). Otherwise Linear and the
 /// dense Conv2d keep their scalar loops, the oracle.
@@ -54,26 +61,33 @@ bool has_int_gemm(const kernel::KernelOps& ops) {
 /// `rows` activation rows a_i = a[i·k, i·k+k) and each output o with weight
 /// row w_o = w[o·k, o·k+k):
 ///   y[i·row_stride + o·col_stride] = rq(bias[o] + Σ a_i·w_o).
-/// Each row is narrowed to int16 once. When k·max|a_i|·128 ≤ INT32_MAX,
-/// no partial sum of a_i·w_o can leave int32 (|w| ≤ 128), so blocks of 4
-/// outputs share one pass over the narrowed row (dot4_i16_i8) and are
-/// exact. Rows outside that bound, and the outputs after the last block,
-/// go through the int64 dot_i32_i8. Either way every output equals the
-/// scalar loop's bias-then-products sum bit for bit.
+/// Each row is narrowed to int16 once. When max|bias| + k·max|a_i|·128 ≤
+/// INT32_MAX, no partial sum of bias[o] + a_i·w_o can leave int32
+/// (|w| ≤ 128), so blocks of 4 outputs share one pass over the narrowed row
+/// (dot4_i16_i8), take their bias in int32, and are requantized together
+/// in one requantize_row call. Rows outside that bound, and the outputs
+/// after the last block, go through the int64 dot_i32_i8 and a scalar
+/// requantizer. Either way every output equals the scalar loop's
+/// bias-then-products sum bit for bit.
 void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
               std::size_t rows, std::size_t k, const std::vector<std::int8_t>& w,
               const std::vector<std::int32_t>& bias, const Requantizer& rq,
-              std::int32_t* y, std::size_t row_stride, std::size_t col_stride) {
+              std::int32_t* y, std::size_t row_stride, std::size_t col_stride,
+              Workspace* ws) {
   const std::size_t outs = bias.size();
   // The largest |a| a row may hold and still take the int16 block: it fits
-  // int16 and keeps k·|a|·128 ≤ INT32_MAX (k ≥ 1: Linear and Conv2d reject
-  // empty rows at construction).
-  const std::size_t bound_lim =
-      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) /
-      (128 * k);
-  const std::int32_t a_lim = static_cast<std::int32_t>(std::min<std::size_t>(
+  // int16 and keeps max|bias| + k·|a|·128 ≤ INT32_MAX (k ≥ 1: Linear and
+  // Conv2d reject empty rows at construction; quantize_bias keeps
+  // |bias| ≤ 2^30).
+  const std::int64_t bound_lim =
+      (std::numeric_limits<std::int32_t>::max() - max_abs(bias)) /
+      static_cast<std::int64_t>(128 * k);
+  const auto a_lim = static_cast<std::int32_t>(std::min<std::int64_t>(
       std::numeric_limits<std::int16_t>::max(), bound_lim));
   std::vector<std::int16_t> a16(k);
+  // Strided outputs (the conv's channel-major layout) stage a row's blocked
+  // sums here; contiguous ones (Linear) sum and requantize in place in y.
+  std::vector<std::int32_t> staged = ws_i32(ws, col_stride == 1 ? 0 : outs);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::int32_t* arow = a + i * k;
     std::int32_t* yrow = y + i * row_stride;
@@ -86,13 +100,14 @@ void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
     }
     std::size_t o = 0;
     if (lo >= -a_lim && hi <= a_lim) {
+      std::int32_t* sums = col_stride == 1 ? yrow : staged.data();
       for (; o + 4 <= outs; o += 4) {
-        std::int32_t acc[4];
-        ops.dot4_i16_i8(a16.data(), w.data() + o * k, k, k, acc);
-        for (std::size_t r = 0; r < 4; ++r) {
-          yrow[(o + r) * col_stride] = static_cast<std::int32_t>(
-              rq.apply(std::int64_t{bias[o + r]} + acc[r]));
-        }
+        ops.dot4_i16_i8(a16.data(), w.data() + o * k, k, k, sums + o);
+        for (std::size_t r = 0; r < 4; ++r) sums[o + r] += bias[o + r];
+      }
+      requantize_row(rq, sums, sums, o);
+      if (col_stride != 1) {
+        for (std::size_t j = 0; j < o; ++j) yrow[j * col_stride] = sums[j];
       }
     }
     for (; o < outs; ++o) {
@@ -100,9 +115,27 @@ void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
           rq.apply(bias[o] + ops.dot_i32_i8(arow, w.data() + o * k, k)));
     }
   }
+  ws_release(ws, std::move(staged));
 }
 
 }  // namespace
+
+void requantize_row(const Requantizer& rq, const std::int32_t* acc,
+                    std::int32_t* y, std::size_t n) {
+  const auto requant = kernel::active().ops.requant_i32;
+  if (requant == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = static_cast<std::int32_t>(rq.apply(acc[i]));
+    }
+    return;
+  }
+  // The preconditions shift_round and saturate check per element.
+  const Dyadic& m = rq.multiplier();
+  const QuantParams& out = rq.output_params();
+  GQA_EXPECTS(m.shift >= 0 && m.shift < 63);
+  GQA_EXPECTS(out.bits >= 1 && out.bits <= 62);
+  requant(acc, m.mult, m.shift, bus_bounds(out.bits, out.is_signed), y, n);
+}
 
 // --------------------------------------------------------------- Linear ---
 
@@ -156,7 +189,7 @@ QTensor Linear::forward_int(const QTensor& x, Workspace* ws) const {
   if (has_int_gemm(ops)) {
     int_gemm(ops, x.data().data(), static_cast<std::size_t>(n),
              static_cast<std::size_t>(in_), wq_, bq_, rq_, y.data().data(),
-             static_cast<std::size_t>(out_), 1);
+             static_cast<std::size_t>(out_), 1, ws);
     return y;
   }
   for (int i = 0; i < n; ++i) {
@@ -255,10 +288,11 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
   const kernel::KernelOps& ops = kernel::active().ops;
   // Both lowerings below add the bias plus exactly the scalar loop's
-  // products (a padding tap contributes 0), summed exactly (int_gemm's
-  // bounded int32 lanes or int64), so the requantized codes are
-  // bit-identical to the loop at the end, which stays the oracle for
-  // backends without the kernels.
+  // products (a padding tap contributes 0), summed exactly (in bounded
+  // int32 lanes, or int64 for int_gemm's rows outside the bound), so the
+  // requantized codes are bit-identical to the loop at the end, which
+  // stays the oracle for backends without the kernels and for depthwise
+  // calls outside the int32 bound.
   if (!depthwise_ && has_int_gemm(ops)) {
     // im2col: row p = (oy, ox) holds p's receptive field in (ic, ky, kx)
     // order, which is wq_'s per-output-channel layout, so the conv is one
@@ -287,18 +321,23 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
       }
     }
     int_gemm(ops, col.data(), pixels, per_oc, wq_, bq_, rq_, y.data().data(),
-             1, pixels);
+             1, pixels, ws);
     ws_release(ws, std::move(col));
     return y;
   }
-  if (depthwise_ && ops.axpy_i64_i32 != nullptr) {
-    // Per channel: an int64 plane seeded with the bias, to which each tap
-    // (ky, kx) adds w·x over the output columns whose input column lies
-    // inside the image (a range computed once per tap). Stride-1 rows are
-    // contiguous on both sides and go through axpy_i64_i32.
-    std::vector<std::int64_t> acc = ws_i64(ws, pixels);
+  // A depthwise output sums its bias and at most k² taps of |w·x| ≤
+  // 128·max|x|; inside INT32_MAX every partial sum is exact in int32.
+  if (depthwise_ && ops.axpy_i32 != nullptr &&
+      max_abs(bq_) + static_cast<std::int64_t>(kk) * 128 * max_abs(x.data()) <=
+          std::numeric_limits<std::int32_t>::max()) {
+    // Per channel: the output plane, seeded with the bias, to which each
+    // tap (ky, kx) adds w·x over the output columns whose input column
+    // lies inside the image (a range computed once per tap), then one
+    // in-place requantize_row. Stride-1 rows are contiguous on both sides
+    // and go through axpy_i32.
     for (std::size_t c = 0; c < static_cast<std::size_t>(out_ch_); ++c) {
-      std::fill(acc.begin(), acc.end(), bq_[c]);
+      std::int32_t* plane = y.data().data() + c * pixels;
+      std::fill(plane, plane + pixels, bq_[c]);
       const std::int32_t* xc =
           x.data().data() + c * static_cast<std::size_t>(h) * w;
       for (int ky = 0; ky < kernel_; ++ky) {
@@ -315,26 +354,22 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
           for (int oy = 0; oy < oh; ++oy) {
             const int iy = oy * stride_ - pad_ + ky;
             if (iy < 0 || iy >= h) continue;
-            std::int64_t* arow =
-                acc.data() + static_cast<std::size_t>(oy) * ow + ox_lo;
+            std::int32_t* arow =
+                plane + static_cast<std::size_t>(oy) * ow + ox_lo;
             const std::int32_t* xrow = xc + static_cast<std::size_t>(iy) * w +
                                        (ox_lo * stride_ - pad_ + kx);
             if (stride_ == 1) {
-              ops.axpy_i64_i32(arow, xrow, wt, span);
+              ops.axpy_i32(arow, xrow, wt, span);
             } else {
               for (std::size_t j = 0; j < span; ++j) {
-                arow[j] += static_cast<std::int64_t>(wt) * xrow[j * stride_];
+                arow[j] += wt * xrow[j * stride_];
               }
             }
           }
         }
       }
-      std::int32_t* yplane = y.data().data() + c * pixels;
-      for (std::size_t p = 0; p < pixels; ++p) {
-        yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
-      }
+      requantize_row(rq_, plane, plane, pixels);
     }
-    ws_release(ws, std::move(acc));
     return y;
   }
   for (int oc = 0; oc < out_ch_; ++oc) {
@@ -670,7 +705,23 @@ QTensor ResidualAdd::forward_int(const QTensor& a, const QTensor& b,
   GQA_EXPECTS_MSG(b.params() == b_qp_,
                   "second operand params differ from freeze()");
   QTensor y = ws_qtensor(ws, a.shape(), out_qp_);
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
+  const std::size_t n = a.data().size();
+  if (kernel::active().ops.requant_i32 != nullptr) {
+    // Each requantized operand sits on the output bus, which make_params
+    // keeps signed and at most 32 bits wide, so it survives requantize_row's
+    // int32 narrowing and the clamp-add reproduces the loop's int64 sum.
+    const BusBounds bus = bus_bounds(out_qp_.bits, out_qp_.is_signed);
+    std::vector<std::int32_t> rb = ws_i32(ws, n);
+    requantize_row(rq_a_, a.data().data(), y.data().data(), n);
+    requantize_row(rq_b_, b.data().data(), rb.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y.data()[i] = static_cast<std::int32_t>(
+          clamp_to_bus(std::int64_t{y.data()[i]} + rb[i], bus));
+    }
+    ws_release(ws, std::move(rb));
+    return y;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t v = rq_a_.apply(a.data()[i]) + rq_b_.apply(b.data()[i]);
     y.data()[i] =
         static_cast<std::int32_t>(saturate(v, out_qp_.bits, out_qp_.is_signed));

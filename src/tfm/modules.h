@@ -23,6 +23,7 @@
 // workspace.h).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,6 +43,14 @@ namespace gqa::tfm {
 struct QuantPolicy {
   int act_bits = 8;
 };
+
+/// y[i] = rq.apply(acc[i]) narrowed to int32, over one int32 accumulator
+/// row; `y` may alias `acc`. Runs the active backend's requant_i32 (with
+/// rq's shift and bus-width preconditions checked once per call), or the
+/// per-element Requantizer::apply loop when the backend has none. Every
+/// bulk requantization of the integer forward goes through here.
+void requantize_row(const Requantizer& rq, const std::int32_t* acc,
+                    std::int32_t* y, std::size_t n);
 
 // ---------------------------------------------------------------------------
 

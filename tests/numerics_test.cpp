@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "numerics/dyadic.h"
 #include "numerics/fxp.h"
@@ -10,6 +12,7 @@
 #include "numerics/rounding.h"
 #include "numerics/saturate.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace gqa {
 namespace {
@@ -43,17 +46,46 @@ TEST(Rounding, GridRounding) {
 
 class ShiftRoundProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(ShiftRoundProperty, MatchesRealDivision) {
+/// Round half away from zero of v / 2^shift by __int128 floor division of
+/// the magnitude: independent of shift_round's shift-and-bias formula, and
+/// exact where a double quotient is not (|v| > 2^53).
+std::int64_t round_div_pow2_reference(std::int64_t v, int shift) {
+  const __int128 step = static_cast<__int128>(1) << shift;
+  const __int128 mag = v < 0 ? -static_cast<__int128>(v) : v;
+  const __int128 q = (mag + step / 2) / step;
+  return static_cast<std::int64_t>(v < 0 ? -q : q);
+}
+
+TEST_P(ShiftRoundProperty, MatchesInt128RoundHalfAwayFromZero) {
   const int shift = GetParam();
-  for (std::int64_t v : {-1000001LL, -37LL, -1LL, 0LL, 1LL, 5LL, 999999LL}) {
-    const double exact = static_cast<double>(v) / std::ldexp(1.0, shift);
-    EXPECT_EQ(shift_round(v, shift), round_to_int(exact))
+  constexpr std::int64_t kLimit = std::int64_t{1} << 62;
+  std::vector<std::int64_t> values = {-1000001, -37, -1, 0, 1, 5, 999999,
+                                      kLimit, -kLimit};
+  Rng rng(0x5A1F + static_cast<std::uint64_t>(shift));
+  for (int i = 0; i < 2000; ++i) {
+    // Magnitudes spread over every bit length up to 2^62.
+    const int bits = static_cast<int>(rng.uniform_int(0, 62));
+    const std::int64_t mag = rng.uniform_int(0, std::int64_t{1} << bits);
+    values.push_back(rng.uniform_int(0, 1) == 0 ? mag : -mag);
+  }
+  if (shift > 0) {
+    // Every tie ±(2j+1)·2^(shift−1) within |v| ≤ 2^62 (the first 64 odd
+    // multiples), and the values one either side of it.
+    const std::int64_t half = std::int64_t{1} << (shift - 1);
+    for (std::int64_t j = 0; j < 64 && (2 * j + 1) <= kLimit / half; ++j) {
+      for (const std::int64_t sign : {1, -1}) {
+        const std::int64_t tie = sign * (2 * j + 1) * half;
+        values.insert(values.end(), {tie - 1, tie, tie + 1});
+      }
+    }
+  }
+  for (const std::int64_t v : values) {
+    ASSERT_EQ(shift_round(v, shift), round_div_pow2_reference(v, shift))
         << "v=" << v << " shift=" << shift;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shifts, ShiftRoundProperty,
-                         ::testing::Values(0, 1, 2, 3, 5, 8, 13, 20));
+INSTANTIATE_TEST_SUITE_P(Shifts, ShiftRoundProperty, ::testing::Range(0, 63));
 
 // -------------------------------------------------------------- saturate --
 

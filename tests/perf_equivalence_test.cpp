@@ -6,6 +6,7 @@
 // backend must reproduce the scalar oracle's forward codes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -557,6 +558,39 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
     expect_backend_invariant([&] { return lin.forward_int(qx); },
                              "Linear int on a 16-bit bus, in=1024");
   }
+
+  // Biases near ±2^30 tighten the int32 bound to max|bias| + k·|a|·128 ≤
+  // INT32_MAX: with k = 1024 a row keeps the int16 block only while every
+  // |code| <= (INT32_MAX − 2^30) / (1024·128) = 8191. A 16383 row passes
+  // the bias-free bound, yet its biased sum on output 0 (bias +2^30, weights
+  // matching the codes' signs) is past INT32_MAX: exact only in int64.
+  {
+    constexpr int kIn = 1024;
+    tfm::Linear lin(kIn, 6, rng);
+    for (int k = 0; k < kIn; ++k) {
+      lin.weights().at(0, k) = k % 3 == 0 ? -1.0F : 1.0F;
+    }
+    for (int o = 0; o < 6; ++o) {
+      // ±1e4 over an accumulator scale of ~1e-6 saturates quantize_bias to
+      // the 31-bit bus: 2^30 − 1 and −2^30.
+      lin.bias().at(o) = o % 2 == 0 ? 1e4F : -1e4F;
+    }
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{7, kIn}, rng, 1.0);
+    for (int k = 0; k < kIn; ++k) x.at(0, k) *= 0.2F;  // row 0 stays inside
+    (void)lin.calibrate(x);
+    const QuantParams in_qp{x.amax() / 32767.0, 16, true};
+    (void)lin.freeze(in_qp, tfm::QuantPolicy{});
+    tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+    for (int k = 0; k < kIn; ++k) {
+      const std::int32_t sign = k % 3 == 0 ? -1 : 1;
+      qx.at(1, k) = sign * 8191;    // at the biased bound: int16 block
+      qx.at(2, k) = sign * 8192;    // one past it: int64 dot
+      qx.at(3, k) = sign * 16383;   // biased sum wraps int32: int64 dot
+      qx.at(4, k) = -sign * 16383;  // the same on the negative side
+    }
+    expect_backend_invariant([&] { return lin.forward_int(qx); },
+                             "Linear int with biases near +-2^30");
+  }
 }
 
 struct ConvCase {
@@ -662,6 +696,31 @@ TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
   for (const ConvCase& c : default_model_convs()) {
     expect_conv_backend_invariant(c, rng, ws);
   }
+
+  // A depthwise call whose input breaks the int32 plane bound (|bias| +
+  // 9·max|x|·128 > INT32_MAX) runs the scalar loop as a whole. One 1<<21
+  // code alone breaks it; a 3x3 patch of them under channel 0's full-scale
+  // (+127) weights also sums past INT32_MAX, which an int32 plane would
+  // wrap.
+  {
+    tfm::Conv2d conv(6, 6, 3, 1, 1, rng, /*depthwise=*/true);
+    for (int ky = 0; ky < 3; ++ky) {
+      for (int kx = 0; kx < 3; ++kx) conv.weights().at(0, 0, ky, kx) = 10.0F;
+    }
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{6, 9, 11}, rng, 1.0);
+    (void)conv.calibrate(x);
+    const QuantParams qp{x.amax() / 127.0, 8, true};
+    (void)conv.freeze(qp, tfm::QuantPolicy{});
+    tfm::QTensor qx = tfm::QTensor::quantize(x, qp);
+    qx.at(3, 4, 5) = 1 << 21;
+    expect_backend_invariant([&] { return conv.forward_int(qx, &ws); },
+                             "depthwise Conv2d int with one 1<<21 code");
+    for (int y = 3; y <= 5; ++y) {
+      for (int xx = 6; xx <= 8; ++xx) qx.at(0, y, xx) = 1 << 21;
+    }
+    expect_backend_invariant([&] { return conv.forward_int(qx, &ws); },
+                             "depthwise Conv2d int summing past INT32_MAX");
+  }
 }
 
 TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
@@ -682,6 +741,42 @@ TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
   expect_backend_invariant(
       [&] { return tfm::Softmax::forward_int(qxs, full_provider()); },
       "Softmax int");
+}
+
+TEST(KernelBackendParity, ResidualAddSaturatesBothEndsUnderEveryBackend) {
+  Rng rng = eq_rng();
+  // Calibrated on nearly cancelling operands, the output scale is far
+  // finer than either input's, so same-signed operand codes saturate the
+  // sum (and each requantized operand) at both ends of the bus. 37x13
+  // elements end in a vector tail.
+  tfm::Tensor a = tfm::Tensor::randn(tfm::Shape{37, 13}, rng, 1.0);
+  tfm::Tensor b = a;
+  for (float& v : b.data()) v = -v * 0.9F;
+  tfm::ResidualAdd add;
+  (void)add.calibrate(a, b);
+  const QuantParams a_qp{a.amax() / 127.0, 8, true};
+  const QuantParams b_qp{b.amax() / 127.0, 8, true};
+  (void)add.freeze(a_qp, b_qp, tfm::QuantPolicy{});
+  tfm::QTensor qa = tfm::QTensor::quantize(a, a_qp);
+  tfm::QTensor qb = tfm::QTensor::quantize(a, b_qp);  // same signs as qa
+  qa.at(0, 0) = 127;
+  qb.at(0, 0) = 127;
+  qa.at(36, 12) = -128;
+  qb.at(36, 12) = -128;
+  tfm::Workspace ws;
+  const tfm::QTensor reference = [&] {
+    kernel::BackendScope scope("scalar");
+    return add.forward_int(qa, qb, &ws);
+  }();
+  const auto& codes = reference.data();
+  ASSERT_NE(std::find(codes.begin(), codes.end(), reference.params().qmax()),
+            codes.end());
+  ASSERT_NE(std::find(codes.begin(), codes.end(), reference.params().qmin()),
+            codes.end());
+  expect_backend_invariant([&] { return add.forward_int(qa, qb); },
+                           "ResidualAdd int saturating at both ends");
+  expect_backend_invariant([&] { return add.forward_int(qa, qb, &ws); },
+                           "ResidualAdd int through a workspace");
 }
 
 TEST(ThreadedSweep, ScaleSweepBitIdenticalToSerial) {

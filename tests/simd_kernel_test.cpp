@@ -18,6 +18,8 @@
 
 #include "kernel/dispatch.h"
 #include "kernel/int_pwl_unit.h"
+#include "numerics/dyadic.h"
+#include "quant/requant.h"
 #include "pwl/quantized_table.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -406,15 +408,13 @@ TEST(SimdRowKernelDifferential, AxpySumSsqMatchScalarReference) {
           x[i] = static_cast<std::int32_t>(rng.uniform_int(-2048, 2047));
         }
         const std::int32_t* xs = x.data() + offset;
-        if (backend->ops.axpy_i64_i32 != nullptr) {
+        if (backend->ops.axpy_i32 != nullptr) {
           const std::int32_t wgt =
               static_cast<std::int32_t>(rng.uniform_int(-128, 127));
-          std::vector<std::int64_t> acc(len, 7);
-          std::vector<std::int64_t> expected = acc;
-          for (std::size_t i = 0; i < len; ++i) {
-            expected[i] += static_cast<std::int64_t>(wgt) * xs[i];
-          }
-          backend->ops.axpy_i64_i32(acc.data(), xs, wgt, len);
+          std::vector<std::int32_t> acc(len, 7);
+          std::vector<std::int32_t> expected = acc;
+          for (std::size_t i = 0; i < len; ++i) expected[i] += wgt * xs[i];
+          backend->ops.axpy_i32(acc.data(), xs, wgt, len);
           EXPECT_EQ(expected, acc)
               << backend->name << " len=" << len << " offset=" << offset;
         }
@@ -436,6 +436,126 @@ TEST(SimdRowKernelDifferential, AxpySumSsqMatchScalarReference) {
           EXPECT_EQ(expected, backend->ops.ssq_centered_i32(xs, dim, sum, len))
               << backend->name << " len=" << len << " offset=" << offset;
         }
+      }
+    }
+  }
+  // A row at the depthwise plane bound: |bias| + 9·|x|·128 with |bias| =
+  // 127 and |x| = 1,864,135 is exactly INT32_MAX. Nine taps of w = -128
+  // drive even lanes (bias 127, x = -|x|) to INT32_MAX and odd lanes (bias
+  // -127, x = +|x|) to -INT32_MAX, in the vector body and the tail alike.
+  constexpr std::int32_t kX = 1864135;
+  constexpr std::size_t kLen = 21;
+  ASSERT_EQ(127 + 9 * std::int64_t{128} * kX,
+            std::numeric_limits<std::int32_t>::max());
+  std::vector<std::int32_t> x(kLen);
+  std::vector<std::int32_t> seed(kLen);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    x[i] = i % 2 == 0 ? -kX : kX;
+    seed[i] = i % 2 == 0 ? 127 : -127;
+  }
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.axpy_i32 == nullptr) continue;
+    std::vector<std::int32_t> acc = seed;
+    for (int tap = 0; tap < 9; ++tap) {
+      backend->ops.axpy_i32(acc.data(), x.data(), -128, kLen);
+    }
+    for (std::size_t i = 0; i < kLen; ++i) {
+      EXPECT_EQ(seed[i] + 9 * std::int64_t{-128} * x[i], acc[i])
+          << backend->name << " plane-bound row i=" << i;
+    }
+    EXPECT_EQ(acc[0], std::numeric_limits<std::int32_t>::max());
+  }
+}
+
+/// Requantizer::apply's body for an arbitrary {mult, shift} pair (the class
+/// only builds its multiplier from a scale ratio), narrowed as callers do.
+std::int32_t requant_oracle(const Dyadic& m, const QuantParams& out,
+                            std::int32_t acc) {
+  return static_cast<std::int32_t>(
+      saturate(m.apply(acc), out.bits, out.is_signed));
+}
+
+TEST(SimdRowKernelDifferential, RequantMatchesRequantizerApply) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  Rng rng(0x5E0A);
+  // Multipliers: Dyadic::from_real over ratios 2^-40..2^8 (exact powers of
+  // two and seeded non-po2 mantissas), then hand-built extremes.
+  std::vector<Dyadic> mults;
+  for (int e = -40; e <= 8; ++e) {
+    mults.push_back(Requantizer(std::ldexp(1.0, e), QuantParams{1.0, 8, true})
+                        .multiplier());
+    mults.push_back(Dyadic::from_real(std::ldexp(1.0 + rng.canonical(), e)));
+  }
+  mults.push_back({3, 0});
+  mults.push_back({-5, 0});
+  mults.push_back({kMax, 62});
+  mults.push_back({-kMax, 62});
+  mults.push_back({1, 62});
+  mults.push_back({-12345, 20});
+  mults.push_back({kMax, 31});
+  mults.push_back({-kMax, 45});
+  std::vector<QuantParams> buses;
+  for (const int bits : {4, 8, 16, 31}) {
+    buses.push_back({1.0, bits, true});
+    buses.push_back({1.0, bits, false});
+  }
+  // Accumulator pool: seeded int32 values with the extremes spread through
+  // it, so every length/offset window sees some of them in body and tail.
+  std::vector<std::int32_t> pool(67 + 3 + 8);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    pool[i] = static_cast<std::int32_t>(rng.uniform_int(kMin, kMax));
+  }
+  const std::int32_t extremes[] = {kMin, kMax, 0, 1, -1};
+  for (std::size_t i = 0; i < pool.size(); i += 3) {
+    pool[i] = extremes[(i / 3) % 5];
+  }
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.requant_i32 == nullptr) continue;
+    for (const Dyadic& m : mults) {
+      for (const QuantParams& out : buses) {
+        const BusBounds bus = bus_bounds(out.bits, out.is_signed);
+        for (std::size_t len = 0; len <= 67; ++len) {
+          for (std::size_t offset = 0; offset <= 3; ++offset) {
+            const std::int32_t* acc = pool.data() + offset;
+            std::vector<std::int32_t> y(len + 1, -7);
+            backend->ops.requant_i32(acc, m.mult, m.shift, bus, y.data(), len);
+            std::vector<std::int32_t> in_place(acc, acc + len);
+            backend->ops.requant_i32(in_place.data(), m.mult, m.shift, bus,
+                                     in_place.data(), len);
+            for (std::size_t i = 0; i < len; ++i) {
+              const std::int32_t want = requant_oracle(m, out, acc[i]);
+              ASSERT_EQ(want, y[i])
+                  << backend->name << " " << m.to_string() << " bus "
+                  << out.to_string() << " len=" << len << " offset=" << offset
+                  << " acc=" << acc[i];
+              ASSERT_EQ(want, in_place[i])
+                  << backend->name << " in place " << m.to_string();
+            }
+            ASSERT_EQ(y[len], -7) << backend->name << " wrote past the row";
+          }
+        }
+      }
+    }
+    // Every rounding tie: with mult 1, ±(2j+1)·2^(s−1) lies exactly halfway
+    // between two multiples of 2^s, for each shift 1..31.
+    const QuantParams wide{1.0, 31, true};
+    for (int s = 1; s <= 31; ++s) {
+      std::vector<std::int32_t> ties;
+      const std::int64_t half = std::int64_t{1} << (s - 1);
+      for (std::int64_t j = 0; (2 * j + 1) * half <= kMax && j < 40; ++j) {
+        ties.push_back(static_cast<std::int32_t>((2 * j + 1) * half));
+        ties.push_back(static_cast<std::int32_t>(-(2 * j + 1) * half));
+      }
+      std::vector<std::int32_t> y(ties.size());
+      backend->ops.requant_i32(ties.data(), 1, s,
+                               bus_bounds(wide.bits, wide.is_signed), y.data(),
+                               ties.size());
+      for (std::size_t i = 0; i < ties.size(); ++i) {
+        EXPECT_EQ(requant_oracle(Dyadic{1, s}, wide, ties[i]), y[i])
+            << backend->name << " tie " << ties[i] << " at shift " << s;
       }
     }
   }

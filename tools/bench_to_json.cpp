@@ -53,6 +53,7 @@
 #include "gqa/gqa_lut.h"
 #include "gqa/objective.h"
 #include "kernel/dispatch.h"
+#include "quant/requant.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
 #include "tfm/nonlinear_provider.h"
@@ -407,6 +408,41 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
       identical = scalar_peak == simd_peak;
     }
     j["max_i32"] = op_json(scalar_ms, simd_ms, identical);
+  }
+  {
+    // The dyadic requantizer behind every GEMM row: 256-wide int32
+    // accumulator rows onto an 8-bit bus (non-po2 ratio, both ends
+    // saturating), against the per-element Requantizer::apply loop.
+    constexpr std::size_t kRow = 256;
+    const Requantizer rq(1.0, QuantParams{500.0, 8, true});
+    const Dyadic& m = rq.multiplier();
+    const BusBounds bus = bus_bounds(8, true);
+    std::vector<std::int32_t> accs(kBatch);
+    for (std::int32_t& v : accs) {
+      v = static_cast<std::int32_t>(rng.uniform_int(-65536, 65536));
+    }
+    std::vector<std::int32_t> scalar_out(kBatch), simd_out(kBatch);
+    const double scalar_ms = time_best_ms(reps, [&] {
+      for (int l = 0; l < kLoops; ++l) {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          scalar_out[i] = static_cast<std::int32_t>(rq.apply(accs[i]));
+        }
+      }
+    });
+    double simd_ms = scalar_ms;
+    bool identical = true;
+    if (ops.requant_i32 != nullptr) {
+      simd_ms = time_best_ms(reps, [&] {
+        for (int l = 0; l < kLoops; ++l) {
+          for (std::size_t i = 0; i < kBatch; i += kRow) {
+            ops.requant_i32(accs.data() + i, m.mult, m.shift, bus,
+                            simd_out.data() + i, kRow);
+          }
+        }
+      });
+      identical = scalar_out == simd_out;
+    }
+    j["requant_i32"] = op_json(scalar_ms, simd_ms, identical);
   }
   return j;
 }

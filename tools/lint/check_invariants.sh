@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-invariant linter, registered as the `invariant_lint` ctest (label:
-# lint) and run in CI. Six rules, each one a cross-cutting invariant that
+# lint) and run in CI. Seven rules, each one a cross-cutting invariant that
 # no single compiler diagnostic can enforce:
 #
 #  R1  Every GQA_* environment variable src/ actually reads (env_int /
@@ -25,6 +25,11 @@
 #      `.name = "<backend>"` designated initializers) must appear in the
 #      docs/ARCHITECTURE.md backend table — a backend operators can select
 #      via GQA_KERNEL_BACKEND must not be undocumented.
+#  R7  Every name in bench_to_json's `expected` manifest
+#      (tools/bench_to_json.cpp) must appear in the committed BENCH_*.json
+#      that its emit_artifact call writes — as the file's `"bench"` value
+#      or as a section key. This checks the schema, not the values: a BENCH
+#      file left over from before a section existed fails here.
 #
 # Exit: non-zero with one pointed message per violation. GQA_LINT_ROOT
 # overrides the repo root (used by lint_selftest.sh for fixture trees).
@@ -123,6 +128,45 @@ for backend in $backend_names; do
          "backend table"
   fi
 done
+
+# --- R7: committed BENCH files carry the bench_to_json manifest ----------
+# Each emit_artifact("<name>", "<file>", {"<nested>", ...}, ...) call spans
+# a few lines up to its `[&]` builder lambda; joined, its quoted strings
+# are the name, the file, then the nested sections.
+tool=tools/bench_to_json.cpp
+if [ -f "$tool" ]; then
+  manifest=$(awk '/std::vector<std::string> expected = \{/ {f=1} f {print}
+    f && /\};/ {exit}' "$tool" | grep -oE '"[a-z0-9_]+"' | tr -d '"')
+  calls=$(awk '/emit_artifact\("/ {f=1; buf=""} f {buf = buf $0}
+    f && /\[&\]/ {print buf; f=0}' "$tool")
+  if [ -z "$manifest" ] || [ -z "$calls" ]; then
+    fail "R7: could not extract the manifest or the emit_artifact calls" \
+         "from $tool"
+  fi
+  for name in $manifest; do
+    file=""
+    while IFS= read -r call; do
+      strings=$(printf '%s\n' "$call" | grep -oE '"[A-Za-z0-9_.]+"' \
+        | tr -d '"')
+      written=$(printf '%s\n' "$strings" | sed -n 2p)
+      if printf '%s\n' "$strings" | sed 2d | grep -qx -- "$name"; then
+        file="$written"
+      fi
+    done <<< "$calls"
+    if [ -z "$file" ]; then
+      fail "R7: manifest entry '$name' ($tool) is written by no" \
+           "emit_artifact call"
+    elif [ ! -f "$file" ]; then
+      fail "R7: $file (manifest entry '$name') is not committed —" \
+           "regenerate it with ./build/tools/bench_to_json ."
+    elif ! grep -q -- "\"$name\"" "$file"; then
+      fail "R7: $file lacks manifest section '$name' — the committed" \
+           "file is stale; regenerate it with ./build/tools/bench_to_json ."
+    fi
+  done
+else
+  fail "R7: $tool is missing, so the BENCH manifest cannot be checked"
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "invariant-lint: OK"

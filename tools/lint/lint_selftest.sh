@@ -13,6 +13,7 @@
 #   naked-thread        std::thread + detach outside util/  -> R4 fires
 #   stale-fault-map     drop a fault::Point enumerator row  -> R5 fires
 #   stale-backend-table drop a kernel backend's doc rows    -> R6 fires
+#   stale-bench-file    BENCH_fit.json without fit_cache    -> R7 fires
 #
 # plus the control: an unmodified copy must pass (the linter must not
 # cry wolf on the real tree).
@@ -31,7 +32,8 @@ make_fixture() {
   cp README.md CMakeLists.txt "$dir/"
   mkdir -p "$dir/docs"
   cp docs/ARCHITECTURE.md "$dir/docs/"
-  cp -r src tests "$dir/"
+  cp -r src tests tools "$dir/"
+  cp BENCH_*.json "$dir/"
   echo "$dir"
 }
 
@@ -102,7 +104,12 @@ dir=$(make_fixture stale-backend-table)
 sed -i '/`avx2`/d' "$dir/docs/ARCHITECTURE.md"
 expect_fail stale-backend-table "R6: kernel backend 'avx2'" "$dir"
 
+# --- stale BENCH file: a fit artifact from before fit_cache existed ------
+dir=$(make_fixture stale-bench-file)
+printf '{\n  "bench": "fit",\n  "int8": {}\n}\n' > "$dir/BENCH_fit.json"
+expect_fail stale-bench-file "R7: BENCH_fit.json lacks manifest section 'fit_cache'" "$dir"
+
 if [ "$fails" -eq 0 ]; then
-  echo "lint-selftest: OK (6 violation classes fire, control passes)"
+  echo "lint-selftest: OK (7 violation classes fire, control passes)"
 fi
 exit $fails
