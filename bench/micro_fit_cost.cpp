@@ -2,8 +2,8 @@
 // operator with each method. Highlights the paper's data-budget claim:
 // GQA-LUT needs only the 0.35-0.8K-point fitness grid while NN-LUT trains
 // on 100K samples. The *_Seed* / *_Fast* pair and the objective micros
-// quantify the PR-1 fitness engine: prefix-sum deployed MSE, fitness
-// memoization, and multi-threaded evaluation versus the seed serial scan.
+// quantify the fitness engine: prefix-sum deployed MSE and fitness
+// memoization versus the seed's per-code scan.
 #include <benchmark/benchmark.h>
 
 #include "gqa/gqa_lut.h"
@@ -26,10 +26,10 @@ void BM_Fit_GqaRm_Gelu(benchmark::State& state) {
 BENCHMARK(BM_Fit_GqaRm_Gelu)->Unit(benchmark::kMillisecond);
 
 // Seed-vs-engine pairs: the seed path scores the deployed-mean objective
-// with the per-code scan, serially and without memoization; the engine
-// path uses prefix sums + fitness memo + 4 evaluation threads. INT8 uses
-// the Table 1 activation grids; INT16 the W16A16 deployment grids, whose
-// ~200x larger code lattice is where O(codes) -> O(segments) dominates.
+// with the per-code scan and without memoization; the engine path uses
+// prefix sums + the fitness memo. INT8 uses the Table 1 activation grids;
+// INT16 the W16A16 deployment grids, whose ~200x larger code lattice is
+// where O(codes) -> O(segments) dominates.
 GqaConfig engine_config(bool fast, int input_bits) {
   GqaConfig config = GqaConfig::preset(Op::kGelu, 8,
                                        MutationKind::kRoundingMutation);
@@ -42,7 +42,6 @@ GqaConfig engine_config(bool fast, int input_bits) {
   }
   config.use_naive_objective = !fast;
   config.ga.memoize_fitness = fast;
-  config.ga.num_threads = fast ? 4 : 1;
   return config;
 }
 
@@ -53,12 +52,12 @@ void BM_Fit_GqaRm_Gelu_SeedSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_Fit_GqaRm_Gelu_SeedSerial)->Unit(benchmark::kMillisecond);
 
-void BM_Fit_GqaRm_Gelu_MemoThreads4(benchmark::State& state) {
+void BM_Fit_GqaRm_Gelu_Memo(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(fit_gqa_lut(engine_config(true, 8)).fxp_mse);
   }
 }
-BENCHMARK(BM_Fit_GqaRm_Gelu_MemoThreads4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fit_GqaRm_Gelu_Memo)->Unit(benchmark::kMillisecond);
 
 void BM_Fit_GqaRm_Gelu_Int16_SeedSerial(benchmark::State& state) {
   for (auto _ : state) {
@@ -67,12 +66,12 @@ void BM_Fit_GqaRm_Gelu_Int16_SeedSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_Fit_GqaRm_Gelu_Int16_SeedSerial)->Unit(benchmark::kMillisecond);
 
-void BM_Fit_GqaRm_Gelu_Int16_MemoThreads4(benchmark::State& state) {
+void BM_Fit_GqaRm_Gelu_Int16_Memo(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(fit_gqa_lut(engine_config(true, 16)).fxp_mse);
   }
 }
-BENCHMARK(BM_Fit_GqaRm_Gelu_Int16_MemoThreads4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fit_GqaRm_Gelu_Int16_Memo)->Unit(benchmark::kMillisecond);
 
 // Objective micro: naive per-code scan vs prefix-sum closed form over the
 // same deterministic genome stream.

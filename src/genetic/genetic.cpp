@@ -1,22 +1,11 @@
 #include "genetic/genetic.h"
 
-#include <algorithm>
-#include <cstring>
 #include <limits>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "util/contracts.h"
-#include "util/thread_pool.h"
 
 namespace gqa {
-
-std::string genome_key(const Genome& genome) {
-  std::string key(genome.size() * sizeof(double), '\0');
-  if (!genome.empty()) std::memcpy(key.data(), genome.data(), key.size());
-  return key;
-}
 
 GeneticOptimizer::GeneticOptimizer(GaConfig config) : config_(config) {
   GQA_EXPECTS(config_.population_size >= 2);
@@ -27,7 +16,6 @@ GeneticOptimizer::GeneticOptimizer(GaConfig config) : config_(config) {
               config_.tournament_size <= config_.population_size);
   GQA_EXPECTS(config_.elite_count >= 0 &&
               config_.elite_count < config_.population_size);
-  GQA_EXPECTS(config_.num_threads >= 1);
 }
 
 void GeneticOptimizer::segment_swap_crossover(Genome& a, Genome& b, Rng& rng) {
@@ -62,51 +50,43 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
   result.best_fitness = std::numeric_limits<double>::infinity();
   result.history.reserve(static_cast<std::size_t>(config_.generations));
 
+  // Every per-generation buffer is allocated here, once per run. Selection
+  // copy-assigns its winners into `next`, reusing each genome's capacity,
+  // and swaps the two populations.
+  std::vector<Genome> next = population;
   std::vector<double> scores(pop_size);
+  // Memo across generations: elites are re-injected verbatim and tournament
+  // winners duplicate, so identical byte patterns recur often. `slots`
+  // points each individual at its memo entry; entries survive rehashing.
+  GenomeTable<double> memo;
+  std::vector<double*> slots(pop_size);
+  std::vector<std::size_t> fresh;  // first-time genomes, the ones scored
+  fresh.reserve(pop_size);
 
-  ThreadPool pool(config_.num_threads);
-  // Memo cache across generations: elites are re-injected verbatim and
-  // tournament winners duplicate, so identical byte patterns recur often.
-  std::unordered_map<std::string, double> memo;
-  std::vector<std::string> keys(pop_size);
-  std::vector<std::size_t> pending;  // population indices that need scoring
-  pending.reserve(pop_size);
-
-  // Scores the population into `scores`. Cache lookups and insertions stay
-  // on the caller thread; only the pure fitness calls fan out, each writing
-  // its own slot — bit-identical to the serial path at any thread count.
-  const auto evaluate_population =
-      [&](const std::vector<Genome>& population) {
-        pending.clear();
-        if (config_.memoize_fitness) {
-          for (std::size_t i = 0; i < pop_size; ++i) {
-            keys[i] = genome_key(population[i]);
-            const auto it = memo.find(keys[i]);
-            if (it != memo.end()) {
-              scores[i] = it->second;
-              ++result.cache_hits;
-            } else {
-              // Reserve the slot so duplicates within this generation are
-              // computed once; the real score lands after the fan-out.
-              memo.emplace(keys[i], 0.0);
-              pending.push_back(i);
-            }
-          }
+  const auto evaluate_population = [&] {
+    fresh.clear();
+    if (!config_.memoize_fitness) {
+      for (std::size_t i = 0; i < pop_size; ++i) {
+        fresh.push_back(i);
+        scores[i] = fitness(population[i]);
+      }
+    } else {
+      // One hash per genome; only a miss copies it into the memo, with a
+      // placeholder score so a duplicate later in this generation hits.
+      for (std::size_t i = 0; i < pop_size; ++i) {
+        const auto [it, inserted] = memo.try_emplace(population[i], 0.0);
+        slots[i] = &it->second;
+        if (inserted) {
+          fresh.push_back(i);
         } else {
-          for (std::size_t i = 0; i < pop_size; ++i) pending.push_back(i);
+          ++result.cache_hits;
         }
-        pool.parallel_for(pending.size(), [&](std::size_t j) {
-          scores[pending[j]] = fitness(population[pending[j]]);
-        });
-        if (config_.memoize_fitness) {
-          for (std::size_t idx : pending) memo[keys[idx]] = scores[idx];
-          // Duplicates that hit the reserved placeholder read the real score.
-          for (std::size_t i = 0; i < pop_size; ++i) {
-            scores[i] = memo[keys[i]];
-          }
-        }
-        result.evaluations += static_cast<std::int64_t>(pop_size);
-      };
+      }
+      for (std::size_t i : fresh) *slots[i] = fitness(population[i]);
+      for (std::size_t i = 0; i < pop_size; ++i) scores[i] = *slots[i];
+    }
+    result.evaluations += static_cast<std::int64_t>(pop_size);
+  };
 
   for (int gen = 0; gen < config_.generations; ++gen) {
     // Genetic operators (Alg. 1 lines 9-16): each individual may cross with
@@ -129,7 +109,7 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
 
     // Evaluation. Track the generation's best index and copy the genome at
     // most once per generation instead of on every improvement.
-    evaluate_population(population);
+    evaluate_population();
     std::size_t gen_best = 0;
     for (std::size_t i = 1; i < pop_size; ++i) {
       if (scores[i] < scores[gen_best]) gen_best = i;
@@ -139,22 +119,21 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
       result.best = population[gen_best];
     }
     result.history.push_back(result.best_fitness);
-    if (hook) hook(gen, population, scores);
+    if (hook) hook(gen, population, scores, fresh);
 
     // Tournament selection (Alg. 1 line 18) into the next generation, with
     // the global elite re-injected so progress is never lost.
-    std::vector<Genome> next;
-    next.reserve(pop_size);
-    for (int e = 0; e < config_.elite_count; ++e) next.push_back(result.best);
-    while (next.size() < pop_size) {
+    std::size_t filled = 0;
+    for (int e = 0; e < config_.elite_count; ++e) next[filled++] = result.best;
+    for (; filled < pop_size; ++filled) {
       std::size_t winner = rng.index(pop_size);
       for (int t = 1; t < config_.tournament_size; ++t) {
         const std::size_t challenger = rng.index(pop_size);
         if (scores[challenger] < scores[winner]) winner = challenger;
       }
-      next.push_back(population[winner]);
+      next[filled] = population[winner];
     }
-    population = std::move(next);
+    population.swap(next);
   }
 
   GQA_ENSURES(!result.best.empty() || config_.generations == 0);

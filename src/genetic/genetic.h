@@ -4,9 +4,13 @@
 // monotone non-increasing across generations.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <string>
+#include <span>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
@@ -23,9 +27,6 @@ struct GaConfig {
   int tournament_size = 3;
   int elite_count = 1;          ///< individuals copied verbatim each round
   std::uint64_t seed = 0xC0FFEE;
-  /// Fitness-evaluation lanes. The variation/selection RNG stays serial, so
-  /// results are bit-identical at any thread count (fitness must be pure).
-  int num_threads = 1;
   /// Cache scores by genome bytes so elite re-injections and tournament
   /// duplicates are never re-scored. Requires a pure fitness function, so
   /// the generic default is off; GqaConfig (whose objectives are pure)
@@ -35,11 +36,33 @@ struct GaConfig {
 
 using Genome = std::vector<double>;
 
-/// Byte-exact memo/dedupe key for a genome, shared by the fitness cache
-/// and GQA-LUT's champion-archive dedupe so the two can never diverge.
-/// Distinct bit patterns hash apart; -0.0 vs 0.0 merely costs a redundant
-/// evaluation, never a wrong score.
-[[nodiscard]] std::string genome_key(const Genome& genome);
+/// Hash of a genome's bytes (std::hash<std::string_view> over them). Not
+/// noexcept on purpose: libstdc++'s unordered containers then cache each
+/// node's hash code, so a stored genome is never re-hashed.
+struct GenomeHash {
+  std::size_t operator()(const Genome& genome) const {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(genome.data()),
+        genome.size() * sizeof(double)));
+  }
+};
+
+/// Byte equality: same length and identical bytes. -0.0 and +0.0 differ,
+/// so a lookup never returns an entry stored under another bit pattern.
+struct GenomeEqual {
+  bool operator()(const Genome& a, const Genome& b) const noexcept {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  }
+};
+
+/// The one genome-keyed table: the GA's fitness memo and GQA-LUT's
+/// deployed-mean stash. Lookups take a population genome directly; only an
+/// insertion copies it.
+template <typename T>
+using GenomeTable = std::unordered_map<Genome, T, GenomeHash, GenomeEqual>;
+
 /// Fitness: lower is better (the paper uses MSE).
 using FitnessFn = std::function<double(const Genome&)>;
 /// In-place mutation of one genome.
@@ -49,10 +72,14 @@ using RepairFn = std::function<void(Genome&)>;
 /// Creates one random genome.
 using InitFn = std::function<Genome(Rng&)>;
 /// Observation hook called once per generation after fitness evaluation,
-/// before selection: (generation, population, scores). Used by GQA-LUT to
-/// archive deployment-ready candidates across the whole evolution.
-using PopulationHook =
-    std::function<void(int, const std::vector<Genome>&, const std::vector<double>&)>;
+/// before selection: (generation, population, scores, fresh). `fresh` lists,
+/// in ascending order, the indices whose genome was scored for the first
+/// time in the run — the memo's misses, or every index when memoization is
+/// off. Used by GQA-LUT to archive deployment-ready candidates across the
+/// whole evolution.
+using PopulationHook = std::function<void(
+    int, const std::vector<Genome>&, const std::vector<double>&,
+    std::span<const std::size_t>)>;
 
 struct GaResult {
   Genome best;

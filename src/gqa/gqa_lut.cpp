@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
-#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "gqa/objective.h"
 #include "util/contracts.h"
@@ -72,7 +69,12 @@ void GqaConfig::validate() const {
 
 void repair_breakpoints(Genome& genome, double lo, double hi,
                         double min_separation) {
-  std::sort(genome.begin(), genome.end());
+  // Both mutation operators sort last, and a crossover whose swapped
+  // segment fits its new neighbours stays sorted; on sorted input std::sort
+  // would move nothing but still cost a pass.
+  if (!std::is_sorted(genome.begin(), genome.end())) {
+    std::sort(genome.begin(), genome.end());
+  }
   const std::size_t n = genome.size();
   if (n == 0) return;
   // Clip into the open interval, then sweep forward enforcing separation;
@@ -111,16 +113,15 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
   };
 
   // When the deployed mean is both the fitness and the champion criterion,
-  // the fitness pass stashes its per-scale vector (under a lock — fitness
-  // may run on pool workers) for the hook to consume, so no genome's
-  // objective is ever computed twice in one generation. The naive-objective
-  // ablation stays unshared: the seed path it emulates recomputed too.
+  // the fitness pass stashes its per-scale vector for the hook to consume,
+  // so no genome's objective is ever computed twice in one generation. The
+  // naive-objective ablation stays unshared: the seed path it emulates
+  // recomputed too.
   const bool share_per_scale =
       config.per_scale_champions &&
       config.fitness == GqaConfig::Fitness::kDeployedMean &&
       !config.use_naive_objective;
-  std::mutex per_scale_mutex;
-  std::unordered_map<std::string, std::vector<double>> per_scale_stash;
+  GenomeTable<std::vector<double>> per_scale_stash;
 
   FitnessFn fitness;
   switch (config.fitness) {
@@ -133,16 +134,13 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
       fitness = [&grid](const Genome& g) { return grid.fitness(g); };
       break;
     case GqaConfig::Fitness::kDeployedMean:
-      fitness = [&deployed_per_scale, &per_scale_mutex, &per_scale_stash,
+      fitness = [&deployed_per_scale, &per_scale_stash,
                  share_per_scale](const Genome& g) {
         std::vector<double> mses = deployed_per_scale(g);
         double total = 0.0;
         for (double m : mses) total += m;
         const double mean = total / static_cast<double>(mses.size());
-        if (share_per_scale) {
-          std::lock_guard<std::mutex> lock(per_scale_mutex);
-          per_scale_stash.emplace(genome_key(g), std::move(mses));
-        }
+        if (share_per_scale) per_scale_stash.try_emplace(g, std::move(mses));
         return mean;
       };
       break;
@@ -173,31 +171,20 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
     archive[i].deployed_mse = std::numeric_limits<double>::infinity();
   }
   PopulationHook hook;
-  std::unordered_set<std::string> archived;
   if (config.per_scale_champions) {
-    // A genome already archived contributes nothing new (its per-scale MSEs
-    // are unchanged and the archive only improves on strict <), so skip
-    // byte-identical repeats — elites and tournament duplicates dominate
-    // late generations. Gated on the same knob as fitness memoization so
-    // the serial seed path stays available for benchmarking.
-    const bool dedupe = config.ga.memoize_fitness;
-    hook = [&archive, &archived, &deployed_per_scale, &per_scale_mutex,
-            &per_scale_stash, dedupe, share_per_scale](
+    // Only first-time genomes (`fresh`) can improve the archive: a repeat's
+    // per-scale MSEs are unchanged and the archive only improves on strict
+    // <. With memoization off `fresh` lists every index, so that knob still
+    // selects the seed path for benchmarking.
+    hook = [&archive, &deployed_per_scale, &per_scale_stash, share_per_scale](
                int, const std::vector<Genome>& population,
-               const std::vector<double>&) {
-      for (const Genome& g : population) {
-        std::string key;
-        if (dedupe || share_per_scale) key = genome_key(g);
-        if (dedupe && !archived.insert(key).second) continue;
+               const std::vector<double>&, std::span<const std::size_t> fresh) {
+      for (std::size_t idx : fresh) {
+        const Genome& g = population[idx];
         std::vector<double> mses;
         if (share_per_scale) {
-          // The hook runs serially between generations, but lock anyway to
-          // pair with the fitness-side writers.
-          std::lock_guard<std::mutex> lock(per_scale_mutex);
-          const auto it = per_scale_stash.find(key);
-          if (it != per_scale_stash.end()) {
-            mses = std::move(it->second);
-            per_scale_stash.erase(it);
+          if (auto node = per_scale_stash.extract(g)) {
+            mses = std::move(node.mapped());
           }
         }
         if (mses.empty()) mses = deployed_per_scale(g);

@@ -275,12 +275,23 @@ class Parser {
     }
   }
 
+  // Bounds the recursion: input nested past the limit throws instead of
+  // overflowing the stack. A throw abandons the parser, so no unwinding of
+  // depth_ is needed.
+  void enter_container() {
+    if (++depth_ > Json::kMaxParseDepth) {
+      fail(format("nesting deeper than %d", Json::kMaxParseDepth));
+    }
+  }
+
   Json parse_array() {
     expect('[');
+    enter_container();
     Json out = Json::array();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return out;
     }
     while (true) {
@@ -290,15 +301,18 @@ class Parser {
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']'");
     }
+    --depth_;
     return out;
   }
 
   Json parse_object() {
     expect('{');
+    enter_container();
     Json out = Json::object();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return out;
     }
     while (true) {
@@ -312,11 +326,13 @@ class Parser {
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}'");
     }
+    --depth_;
     return out;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

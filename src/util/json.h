@@ -62,7 +62,12 @@ class Json {
   /// Serializes; `indent` < 0 means compact single-line output.
   [[nodiscard]] std::string dump(int indent = 2) const;
 
-  /// Parses a JSON document; throws std::runtime_error on malformed input.
+  /// Deepest array/object nesting parse() accepts; the parser recurses
+  /// once per level (an approximator artifact nests 5 deep).
+  static constexpr int kMaxParseDepth = 512;
+
+  /// Parses a JSON document; throws std::runtime_error on malformed input,
+  /// including nesting deeper than kMaxParseDepth.
   static Json parse(const std::string& text);
 
  private:

@@ -1,8 +1,8 @@
 // Fixed-size worker pool with a blocking parallel_for, plus the bounded
 // MPMC queue the serving front-end drains through it.
 //
-// ThreadPool is built for the GA fitness fan-out and the scene-batched
-// serving dispatches: the caller thread participates in the work, indices
+// ThreadPool is built for the scene-batched serving dispatches and the
+// eval sweeps: the caller thread participates in the work, indices
 // are handed out dynamically through an atomic counter (so uneven per-item
 // costs balance), and the first exception thrown by any worker is rethrown
 // on the caller. Determinism is the caller's job: parallel_for only says
@@ -19,8 +19,8 @@
 //     InferenceEngines co-serve on the single process-wide global_pool().
 //   - parallel_for is NOT reentrant: calling it from inside a running
 //     fn(i) on the same pool self-deadlocks. Every fan-out in the repo is
-//     one level deep (images, sweep scales, GA genomes), and a model
-//     forward never dispatches onto a pool.
+//     one level deep (images, sweep scales), and a model forward never
+//     dispatches onto a pool.
 //   - BoundedQueue is fully thread-safe (any number of producers and
 //     consumers); close() releases every blocked producer and consumer.
 #pragma once

@@ -1,9 +1,15 @@
 // Tests for the generic genetic optimizer: operator behaviour, determinism,
-// elitist monotonicity, and convergence on a known optimum.
+// elitist monotonicity, convergence on a known optimum, and the fitness
+// memo's byte-exact keys and first-scored (`fresh`) hook contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <span>
 
 #include "genetic/genetic.h"
 #include "util/contracts.h"
@@ -109,17 +115,16 @@ TEST(GeneticOptimizer, BestFitnessMonotoneWithElitism) {
   EXPECT_EQ(result.evaluations, 20 * 60);
 }
 
+/// A genome's bit patterns: the identity the fitness memo keys on.
+std::vector<std::uint64_t> bits_of(const Genome& g) {
+  std::vector<std::uint64_t> bits(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint64_t>(g[i]);
+  }
+  return bits;
+}
+
 TEST(GeneticOptimizer, HookObservesEveryGeneration) {
-  int calls = 0;
-  std::size_t pop_seen = 0;
-  const PopulationHook hook = [&](int gen, const std::vector<Genome>& pop,
-                                  const std::vector<double>& scores) {
-    EXPECT_EQ(gen, calls);
-    EXPECT_EQ(pop.size(), scores.size());
-    pop_seen = pop.size();
-    ++calls;
-  };
-  const GaConfig cfg = quick_config();
   const InitFn init = [](Rng& rng) {
     Genome g(3);
     for (double& v : g) v = rng.uniform(-1.0, 1.0);
@@ -128,9 +133,82 @@ TEST(GeneticOptimizer, HookObservesEveryGeneration) {
   const MutateFn mutate = [](Genome& g, Rng& rng) {
     g[0] += rng.normal(0.0, 0.1);
   };
-  (void)GeneticOptimizer(cfg).run(init, sphere, mutate, {}, hook);
-  EXPECT_EQ(calls, cfg.generations);
-  EXPECT_EQ(pop_seen, static_cast<std::size_t>(cfg.population_size));
+  for (const bool memoize : {false, true}) {
+    SCOPED_TRACE(memoize ? "memoized" : "plain");
+    GaConfig cfg = quick_config();
+    cfg.memoize_fitness = memoize;
+    int calls = 0;
+    std::size_t pop_seen = 0;
+    std::int64_t fresh_total = 0;
+    std::set<std::vector<std::uint64_t>> scored;  // genomes listed fresh
+    const PopulationHook hook = [&](int gen, const std::vector<Genome>& pop,
+                                    const std::vector<double>& scores,
+                                    std::span<const std::size_t> fresh) {
+      EXPECT_EQ(gen, calls);
+      EXPECT_EQ(pop.size(), scores.size());
+      pop_seen = pop.size();
+      ++calls;
+      fresh_total += static_cast<std::int64_t>(fresh.size());
+      EXPECT_EQ(std::adjacent_find(fresh.begin(), fresh.end(),
+                                   std::greater_equal<>()),
+                fresh.end())
+          << "fresh indices not ascending in generation " << gen;
+      if (!memoize) {
+        ASSERT_EQ(fresh.size(), pop.size());
+        for (std::size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(fresh[i], i);
+        return;
+      }
+      for (const std::size_t i : fresh) {
+        ASSERT_LT(i, pop.size());
+        EXPECT_TRUE(scored.insert(bits_of(pop[i])).second)
+            << "genome listed fresh twice, generation " << gen;
+      }
+      // Every individual was listed in this generation or an earlier one.
+      for (const Genome& g : pop) EXPECT_EQ(scored.count(bits_of(g)), 1u);
+    };
+    const GaResult result =
+        GeneticOptimizer(cfg).run(init, sphere, mutate, {}, hook);
+    EXPECT_EQ(calls, cfg.generations);
+    EXPECT_EQ(pop_seen, static_cast<std::size_t>(cfg.population_size));
+    // Fresh genomes are exactly the memo's misses.
+    EXPECT_EQ(fresh_total + result.cache_hits, result.evaluations);
+    if (memoize) {
+      EXPECT_GT(result.cache_hits, 0);
+    }
+  }
+}
+
+TEST(GeneticOptimizer, MemoKeysAreByteExact) {
+  // {-0.0} and {+0.0} compare equal as doubles. A value-equality memo would
+  // score one and hand its score to the other; the byte-keyed memo scores
+  // each bit pattern exactly once.
+  GaConfig cfg;
+  cfg.population_size = 10;
+  cfg.generations = 5;
+  cfg.tournament_size = 1;  // random selection keeps both signs around
+  cfg.memoize_fitness = true;
+  int inits = 0;
+  const InitFn init = [&inits](Rng&) {
+    return Genome{inits++ % 2 == 0 ? -0.0 : 0.0};
+  };
+  const MutateFn mutate = [](Genome&, Rng&) {};
+  int fitness_calls = 0;
+  const FitnessFn fitness = [&fitness_calls](const Genome& g) {
+    ++fitness_calls;
+    return std::signbit(g[0]) ? 1.0 : 0.0;
+  };
+  std::set<std::uint64_t> patterns;
+  const PopulationHook hook = [&](int, const std::vector<Genome>& pop,
+                                  const std::vector<double>& scores,
+                                  std::span<const std::size_t>) {
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      patterns.insert(std::bit_cast<std::uint64_t>(pop[i][0]));
+      EXPECT_EQ(scores[i], std::signbit(pop[i][0]) ? 1.0 : 0.0);
+    }
+  };
+  (void)GeneticOptimizer(cfg).run(init, fitness, mutate, {}, hook);
+  EXPECT_EQ(patterns.size(), 2u);
+  EXPECT_EQ(static_cast<std::size_t>(fitness_calls), patterns.size());
 }
 
 TEST(GeneticOptimizer, RepairEnforcedAfterOperators) {

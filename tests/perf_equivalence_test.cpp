@@ -1,5 +1,5 @@
-// Equivalence guarantees of the performance engine: multi-threaded and
-// memoized GA runs must be bit-identical to the serial path, the prefix-sum
+// Equivalence guarantees of the performance engine: memoized GA runs and
+// the sort-free repair must be bit-identical to the plain path, the prefix-sum
 // objective must agree with the naive per-code scan, the batched kernel
 // APIs must reproduce per-element evaluation exactly, the NonlinearProvider
 // must survive concurrent hammering on cold caches, and every tfm kernel
@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -99,15 +101,14 @@ TEST(ThreadPool, PooledForChunksPartitionsExactly) {
   }
 }
 
-// ------------------------------------------------ GA threading + memoize --
+// --------------------------------------------------------- GA memoize --
 
-GqaConfig quick_fit_config(int num_threads, bool memoize) {
+GqaConfig quick_fit_config(bool memoize) {
   GqaConfig cfg = GqaConfig::preset(Op::kGelu, 8,
                                     MutationKind::kRoundingMutation);
   cfg.ga.population_size = 20;
   cfg.ga.generations = 25;
   cfg.ga.seed = 0xABCD;
-  cfg.ga.num_threads = num_threads;
   cfg.ga.memoize_fitness = memoize;
   cfg.fitness = GqaConfig::Fitness::kDeployedMean;  // exercises the objective
   return cfg;
@@ -128,15 +129,9 @@ void expect_identical_fits(const GqaFitResult& a, const GqaFitResult& b) {
   }
 }
 
-TEST(GaParallel, FourThreadsBitIdenticalToSerial) {
-  const GqaFitResult serial = fit_gqa_lut(quick_fit_config(1, false));
-  const GqaFitResult threaded = fit_gqa_lut(quick_fit_config(4, false));
-  expect_identical_fits(serial, threaded);
-}
-
 TEST(GaParallel, MemoizationBitIdenticalAndHitsCache) {
-  const GqaFitResult plain = fit_gqa_lut(quick_fit_config(1, false));
-  const GqaFitResult memoized = fit_gqa_lut(quick_fit_config(1, true));
+  const GqaFitResult plain = fit_gqa_lut(quick_fit_config(false));
+  const GqaFitResult memoized = fit_gqa_lut(quick_fit_config(true));
   expect_identical_fits(plain, memoized);
   // Elite re-injection alone guarantees recurring genomes.
   EXPECT_GT(memoized.ga.cache_hits, 0);
@@ -144,16 +139,88 @@ TEST(GaParallel, MemoizationBitIdenticalAndHitsCache) {
   EXPECT_EQ(memoized.ga.evaluations, plain.ga.evaluations);
 }
 
-TEST(GaParallel, ThreadsPlusMemoizationBitIdentical) {
-  const GqaFitResult serial = fit_gqa_lut(quick_fit_config(1, false));
-  const GqaFitResult fast = fit_gqa_lut(quick_fit_config(4, true));
-  expect_identical_fits(serial, fast);
+TEST(GaMemo, TableOnePresetHitCountsPinned) {
+  // Table 1's GELU preset (Np = 50, T = 500) scores ~650 distinct genomes;
+  // every other evaluation is a memo hit. A key change that silently stops
+  // hitting shows up here as a wrong count, not only as a slowdown.
+  const GqaFitResult fit = fit_gqa_lut(
+      GqaConfig::preset(Op::kGelu, 8, MutationKind::kRoundingMutation));
+  EXPECT_EQ(fit.ga.evaluations, 25000);
+  EXPECT_EQ(fit.ga.cache_hits, 24353);
 }
 
-TEST(GaConfigValidation, RejectsZeroThreads) {
-  GaConfig cfg;
-  cfg.num_threads = 0;
-  EXPECT_THROW(GeneticOptimizer{cfg}, ContractViolation);
+// ------------------------------------------------------ sort-free repair --
+
+/// repair_breakpoints before its is_sorted guard: it sorted unconditionally.
+void repair_always_sorting(Genome& genome, double lo, double hi,
+                           double min_separation) {
+  std::sort(genome.begin(), genome.end());
+  const std::size_t n = genome.size();
+  if (n == 0) return;
+  for (double& p : genome) p = std::clamp(p, lo, hi);
+  for (std::size_t i = 1; i < n; ++i) {
+    genome[i] = std::max(genome[i], genome[i - 1] + min_separation);
+  }
+  genome[n - 1] = std::min(genome[n - 1], hi);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    genome[i - 1] = std::min(genome[i - 1], genome[i] - min_separation);
+  }
+  genome[0] = std::max(genome[0], lo);
+}
+
+TEST(RepairBreakpoints, SortFreeRepairBitIdenticalToAlwaysSorting) {
+  // The one input where the two can differ: a sorted genome longer than
+  // std::sort's 16-element insertion-sort cutoff that holds both -0.0 and
+  // +0.0. They compare equal, so introsort may swap them while the guarded
+  // repair leaves them in place. No operator produces it: Rounding Mutation
+  // snaps through an integer, and uniform init and Gaussian steps cannot
+  // yield -0.0. So signed zeros are drawn only for genomes of <= 16.
+  const double lo = -4.0;
+  const double hi = 4.0;
+  Rng rng(0x5EB7);
+  int sorted_long = 0;
+  int unsorted_long = 0;
+  for (int trial = 0; trial < 840; ++trial) {
+    const auto n = static_cast<std::size_t>(trial % 21);  // 0..20
+    const int kind = (trial / 21) % 4;
+    if (kind == 3 && n > 16) continue;
+    Genome g(n);
+    for (double& p : g) {
+      switch (kind) {
+        case 0:  // continuous, partly outside [lo, hi]
+          p = rng.uniform(-6.0, 6.0);
+          break;
+        case 1:  // quarter grid: repeats and gaps below the separation
+          p = 0.25 * static_cast<double>(
+                         static_cast<int>(rng.index(49)) - 24);
+          break;
+        case 2:  // one tight cluster, gaps far below the separation
+          p = 1.5 + 1e-3 * rng.uniform(-1.0, 1.0);
+          break;
+        default:  // signed zeros among small repeats
+          p = std::array<double, 4>{-0.0, 0.0, -0.5, 0.5}[rng.index(4)];
+          break;
+      }
+    }
+    const bool sort_first = (trial / 84) % 2 == 1;
+    if (sort_first) std::sort(g.begin(), g.end());
+    if (n > 16 && std::is_sorted(g.begin(), g.end())) ++sorted_long;
+    if (n > 16 && !std::is_sorted(g.begin(), g.end())) ++unsorted_long;
+    for (double min_separation : {0.0, 0.01, 0.3}) {
+      Genome expected = g;
+      Genome actual = g;
+      repair_always_sorting(expected, lo, hi, min_separation);
+      repair_breakpoints(actual, lo, hi, min_separation);
+      ASSERT_EQ(actual.size(), expected.size());
+      EXPECT_TRUE(actual.empty() ||
+                  std::memcmp(actual.data(), expected.data(),
+                              actual.size() * sizeof(double)) == 0)
+          << "trial " << trial << " kind " << kind << " n " << n
+          << " min_separation " << min_separation;
+    }
+  }
+  EXPECT_GT(sorted_long, 0);
+  EXPECT_GT(unsorted_long, 0);
 }
 
 // -------------------------------------------- prefix-sum objective check --

@@ -189,6 +189,38 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("{} extra"), std::runtime_error);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  // The parser recurses once per level: input nested past the limit must
+  // throw its typed error, not overflow the stack.
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 1; i < depth; ++i) text += "{\"a\":";
+    text += "{}";
+    return text + std::string(static_cast<std::size_t>(depth - 1), '}');
+  };
+  const auto arrays = [](int depth) {
+    const auto n = static_cast<std::size_t>(depth);
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  std::string unclosed_objects;
+  for (int i = 0; i < 100000; ++i) unclosed_objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), std::runtime_error);
+  EXPECT_THROW(Json::parse(unclosed_objects), std::runtime_error);
+
+  const int limit = Json::kMaxParseDepth;
+  EXPECT_NO_THROW((void)Json::parse(arrays(limit)));
+  EXPECT_NO_THROW((void)Json::parse(objects(limit)));
+  EXPECT_THROW(Json::parse(arrays(limit + 1)), std::runtime_error);
+  EXPECT_THROW(Json::parse(objects(limit + 1)), std::runtime_error);
+  try {
+    (void)Json::parse(arrays(limit + 1));
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Json parse error at"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+  }
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("{\"a\": 1}");
   EXPECT_THROW(j.at("a").as_string(), std::runtime_error);
