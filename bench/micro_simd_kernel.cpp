@@ -258,6 +258,57 @@ int main() {
     add_row(table, "Requantize i32 row (8-bit bus)", r, all_ok);
   }
 
+  {
+    // LayerNorm's affine pass on 256-wide rows of 8-bit codes (SegFormer's
+    // widest stage) onto an 8-bit bus, against LayerNorm::forward_int's
+    // scalar loop; the output scale saturates the tails.
+    constexpr std::size_t kRow = 256;
+    const QuantParams out_qp{4.0 / 127.0, 8, true};
+    const BusBounds bus = bus_bounds(out_qp.bits, out_qp.is_signed);
+    std::vector<std::int32_t> codes(kBatch);
+    std::vector<float> gamma(kRow), beta(kRow);
+    for (std::int32_t& v : codes) {
+      v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+    }
+    for (std::size_t d = 0; d < kRow; ++d) {
+      gamma[d] = static_cast<float>(rng.normal(1.0, 0.05));
+      beta[d] = static_cast<float>(rng.normal(0.0, 0.05));
+    }
+    std::vector<std::int64_t> sums(kBatch / kRow);
+    for (std::size_t i = 0; i < kBatch; ++i) sums[i / kRow] += codes[i];
+    const double inv_sigma = 1.0 / 74.0;  // ~1/σ of uniform 8-bit codes
+    const auto dim = static_cast<std::int64_t>(kRow);
+    std::vector<std::int32_t> scalar_out(kBatch), simd_out(kBatch);
+    Row r;
+    r.scalar_ms = time_best_ms(reps, [&] {
+      for (int l = 0; l < kLoops; ++l) {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          const std::size_t d = i % kRow;
+          const std::int64_t c = dim * codes[i] - sums[i / kRow];
+          const double norm = static_cast<double>(c) * inv_sigma / dim;
+          const double val = gamma[d] * norm + beta[d];
+          scalar_out[i] = static_cast<std::int32_t>(out_qp.quantize(val));
+        }
+      }
+    });
+    r.simd_ms = r.scalar_ms;
+    r.identical = true;
+    if (ops.layernorm_affine_i32 != nullptr) {
+      r.simd_ms = time_best_ms(reps, [&] {
+        for (int l = 0; l < kLoops; ++l) {
+          for (std::size_t i = 0; i < kBatch; i += kRow) {
+            ops.layernorm_affine_i32(codes.data() + i, dim, sums[i / kRow],
+                                     inv_sigma, gamma.data(), beta.data(),
+                                     out_qp.scale, bus, simd_out.data() + i,
+                                     kRow);
+          }
+        }
+      });
+      r.identical = scalar_out == simd_out;
+    }
+    add_row(table, "LayerNorm affine row (8-bit bus)", r, all_ok);
+  }
+
   bench::emit(table, "simd_kernel");
   if (!all_ok) {
     std::fprintf(stderr,

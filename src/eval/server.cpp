@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -95,7 +96,12 @@ Server::Server(const tfm::NonlinearProvider& provider, ServerOptions options)
     GQA_EXPECTS_MSG(w >= 1, "QoS weights must be >= 1");
   }
   if (options_.scheduler.breaker_threshold < 0) {
-    options_.scheduler.breaker_threshold = env_int("GQA_BREAKER_THRESHOLD", 0);
+    const std::int64_t threshold = env_int("GQA_BREAKER_THRESHOLD", 0);
+    GQA_EXPECTS_MSG(threshold >= 0 &&
+                        threshold <= std::numeric_limits<int>::max(),
+                    "GQA_BREAKER_THRESHOLD must be in [0, INT_MAX] (0 "
+                    "disables)");
+    options_.scheduler.breaker_threshold = static_cast<int>(threshold);
   }
   GQA_EXPECTS_MSG(options_.scheduler.breaker_threshold >= 0,
                   "GQA_BREAKER_THRESHOLD must be >= 0 (0 disables)");
@@ -290,12 +296,11 @@ Server::StreamSession Server::open_stream(int model_id, StreamOptions options,
                   "StreamOptions::max_attempts must be >= 1");
   GQA_EXPECTS_MSG(options.backoff.count() >= 0,
                   "StreamOptions::backoff must be >= 0");
-  std::size_t capacity = options.ring_capacity;
-  if (capacity == 0) {
-    capacity = static_cast<std::size_t>(env_int("GQA_STREAM_RING_CAPACITY", 8));
+  if (options.ring_capacity == 0) {
+    const std::int64_t capacity = env_int("GQA_STREAM_RING_CAPACITY", 8);
+    GQA_EXPECTS_MSG(capacity >= 1, "GQA_STREAM_RING_CAPACITY must be >= 1");
+    options.ring_capacity = static_cast<std::size_t>(capacity);
   }
-  GQA_EXPECTS_MSG(capacity >= 1, "GQA_STREAM_RING_CAPACITY must be >= 1");
-  options.ring_capacity = capacity;
   MutexLock lock(mutex_);
   GQA_EXPECTS_MSG(!stopping_, "open_stream on a shut-down server");
   GQA_EXPECTS_MSG(model_id >= 0 && model_id < static_cast<int>(models_.size()),
@@ -306,7 +311,7 @@ Server::StreamSession Server::open_stream(int model_id, StreamOptions options,
   stream.model_id = model_id;
   stream.options = options;
   stream.callback = std::move(callback);
-  stream.ring = std::make_unique<RingBuffer<Request>>(capacity);
+  stream.ring = std::make_unique<RingBuffer<Request>>(options.ring_capacity);
   streams_.emplace(id, std::move(stream));
   model_streams_[static_cast<std::size_t>(model_id)].push_back(id);
   ++stats_.streams_open;

@@ -16,10 +16,14 @@
 // Integer reductions reorder freely (integer addition is associative in the
 // no-overflow domain the buses guarantee); floating-point reductions may
 // NOT be vectorized (FP addition is not associative), which is why the
-// Softmax exp-sum stays scalar. The dyadic requantizer is integer math
-// (exact multiply, rounding shift, clamp) and vectorizes exactly. The
-// differential suite (tests/simd_kernel_test.cpp) and the checksum-gated
-// kernel_simd bench section enforce the contract.
+// Softmax exp-sum stays scalar. Elementwise FP lanes are allowed when each
+// lane performs the scalar's exact IEEE operation sequence — same
+// operations, same order, no FMA contraction (the build pins
+// -ffp-contract=off) — because every such operation is correctly rounded
+// whatever the lane order (layernorm_affine_i32). The dyadic requantizer is
+// integer math (exact multiply, rounding shift, clamp) and vectorizes
+// exactly. The differential suite (tests/simd_kernel_test.cpp) and the
+// checksum-gated kernel_simd bench section enforce the contract.
 #pragma once
 
 #include <cstddef>
@@ -110,6 +114,20 @@ struct KernelOps {
   /// LayerNorm row. Caller guarantees |dim·x − sum| fits int32.
   std::int64_t (*ssq_centered_i32)(const std::int32_t* x, std::int64_t dim,
                                    std::int64_t sum, std::size_t n) = nullptr;
+  /// LayerNorm's affine pass over one row:
+  ///   c = dim·x[i] − sum;  v = γ[i]·((double(c)·inv_sigma)/dim) + β[i];
+  ///   y[i] = clamp_to_bus(round_to_int(v / out_scale), out)
+  /// in exactly the scalar loop's IEEE double operations and order (γ and
+  /// β widen from float). A lane whose quotient is non-finite or at least
+  /// 2^53 in magnitude is recomputed by the scalar expression, so
+  /// round_to_int's ContractViolation and its cast stay the oracle's.
+  /// Caller guarantees |dim·x − sum| fits int32 (the ssq_centered_i32
+  /// gate) and that `out` lies inside int32.
+  void (*layernorm_affine_i32)(const std::int32_t* x, std::int64_t dim,
+                               std::int64_t sum, double inv_sigma,
+                               const float* gamma, const float* beta,
+                               double out_scale, BusBounds out,
+                               std::int32_t* y, std::size_t n) = nullptr;
   /// Row max (Softmax peak); n >= 1.
   std::int32_t (*max_i32)(const std::int32_t* x, std::size_t n) = nullptr;
   /// out[i] = int64(x[i]) − sub (Softmax max-subtracted differences).

@@ -20,7 +20,11 @@
 //  - int64->double uses the 2^52+2^51 magic-constant trick, exact for
 //    |v| < 2^51 (the view guarantees acc fits 50 bits), and the acc_scale
 //    multiply is a single-rounded elementwise op — the same operation the
-//    scalar path performs.
+//    scalar path performs;
+//  - LayerNorm's affine pass runs the scalar loop's IEEE double operations
+//    in the same order in every lane (multiply, divide, widen γ/β, multiply,
+//    add, divide, then round half away from zero via an exact truncated
+//    fraction), never contracted into an FMA (-ffp-contract=off).
 // Each kernel ends with a scalar tail loop for the n % lane_width rump.
 #include "kernel/dispatch.h"
 
@@ -485,6 +489,81 @@ std::int64_t avx2_ssq_centered_i32(const std::int32_t* x, std::int64_t dim,
   return ssq;
 }
 
+/// The scalar oracle's affine step for one element (LayerNorm::forward_int
+/// pass 2): the tail, and the lanes the vector rounding cannot represent.
+std::int32_t layernorm_affine_one(std::int32_t x, std::int64_t dim,
+                                  std::int64_t sum, double inv_sigma,
+                                  float gamma, float beta, double out_scale,
+                                  BusBounds out) {
+  const std::int64_t c = dim * x - sum;
+  const double norm =
+      static_cast<double>(c) * inv_sigma / static_cast<double>(dim);
+  const double val = gamma * norm + beta;
+  return static_cast<std::int32_t>(
+      clamp_to_bus(round_to_int(val / out_scale), out));
+}
+
+void avx2_layernorm_affine_i32(const std::int32_t* x, std::int64_t dim,
+                               std::int64_t sum, double inv_sigma,
+                               const float* gamma, const float* beta,
+                               double out_scale, BusBounds out,
+                               std::int32_t* y, std::size_t n) {
+  const __m256i dimv = _mm256_set1_epi64x(dim);
+  const __m256i sumv = _mm256_set1_epi64x(sum);
+  const __m256d inv = _mm256_set1_pd(inv_sigma);
+  const __m256d dimd = _mm256_set1_pd(static_cast<double>(dim));
+  const __m256d scale = _mm256_set1_pd(out_scale);
+  // `out` lies inside int32, so both bounds are exact doubles.
+  const __m256d lo = _mm256_set1_pd(static_cast<double>(out.lo));
+  const __m256d hi = _mm256_set1_pd(static_cast<double>(out.hi));
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d neg_half = _mm256_set1_pd(-0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two53 = _mm256_set1_pd(9007199254740992.0);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFF));
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // c = dim·x − sum, exact in int64 lanes; it fits int32 (the caller's
+    // gate), so the magic-constant conversion to double is exact.
+    const __m256i xv = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
+    const __m256i c = _mm256_sub_epi64(_mm256_mul_epi32(dimv, xv), sumv);
+    const __m256d norm = _mm256_div_pd(_mm256_mul_pd(i64_to_f64(c), inv), dimd);
+    const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(gamma + i));
+    const __m256d b = _mm256_cvtps_pd(_mm_loadu_ps(beta + i));
+    const __m256d q =
+        _mm256_div_pd(_mm256_add_pd(_mm256_mul_pd(g, norm), b), scale);
+    // llround_away: truncate, then step away from zero when the exact
+    // fraction q − trunc(q) reaches ±0.5.
+    const __m256d t =
+        _mm256_round_pd(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256d frac = _mm256_sub_pd(q, t);
+    const __m256d up =
+        _mm256_and_pd(_mm256_cmp_pd(frac, half, _CMP_GE_OQ), one);
+    const __m256d down =
+        _mm256_and_pd(_mm256_cmp_pd(frac, neg_half, _CMP_LE_OQ), one);
+    const __m256d r = _mm256_sub_pd(_mm256_add_pd(t, up), down);
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(y + i),
+        _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_max_pd(r, lo), hi)));
+    // NaN, ±inf and |q| ≥ 2^53 fail this compare: those lanes take the
+    // scalar expression, which throws or casts exactly as the oracle does.
+    const __m256d exact =
+        _mm256_cmp_pd(_mm256_and_pd(q, abs_mask), two53, _CMP_LT_OQ);
+    if (_mm256_movemask_pd(exact) != 0xF) {
+      for (std::size_t j = i; j < i + 4; ++j) {
+        y[j] = layernorm_affine_one(x[j], dim, sum, inv_sigma, gamma[j],
+                                    beta[j], out_scale, out);
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    y[i] = layernorm_affine_one(x[i], dim, sum, inv_sigma, gamma[i], beta[i],
+                                out_scale, out);
+  }
+}
+
 std::int32_t avx2_max_i32(const std::int32_t* x, std::size_t n) {
   std::int32_t best = x[0];
   std::size_t i = 0;
@@ -533,6 +612,7 @@ const KernelBackend kAvx2Backend{
             .requant_i32 = avx2_requant_i32,
             .sum_i32 = avx2_sum_i32,
             .ssq_centered_i32 = avx2_ssq_centered_i32,
+            .layernorm_affine_i32 = avx2_layernorm_affine_i32,
             .max_i32 = avx2_max_i32,
             .sub_scalar_widen_i32 = avx2_sub_scalar_widen_i32,
         },

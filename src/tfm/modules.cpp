@@ -519,11 +519,27 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
   std::vector<double> rsqrts = ws_f64(ws, static_cast<std::size_t>(n));
   nl.rsqrt_fxp_batch(w_codes, kVarFrac, rsqrts);
   // Pass 2: n_d = c'_d/(D·σ_q); y = γ n + β quantized to the output scale.
+  // The dispatched affine pass repeats the loop's IEEE operations lane by
+  // lane; it needs the ssq gate's int32 c and an output bus inside int32.
+  const BusBounds out_bus = bus_bounds(out_qp_.bits, out_qp_.is_signed);
+  const auto affine =
+      row_ssq != nullptr &&
+              out_bus.lo >= std::numeric_limits<std::int32_t>::min() &&
+              out_bus.hi <= std::numeric_limits<std::int32_t>::max()
+          ? kernel::active().ops.layernorm_affine_i32
+          : nullptr;
   for (int i = 0; i < n; ++i) {
     const std::int64_t sum = sums[static_cast<std::size_t>(i)];
     const double inv_sigma_q = std::ldexp(
         rsqrts[static_cast<std::size_t>(i)],
         -static_cast<int>(prenorm[static_cast<std::size_t>(i)]));
+    if (affine != nullptr) {
+      const std::size_t row = static_cast<std::size_t>(i) * dim_;
+      affine(x.data().data() + row, dim_, sum, inv_sigma_q,
+             gamma_.data().data(), beta_.data().data(), out_qp_.scale, out_bus,
+             y.data().data() + row, static_cast<std::size_t>(dim_));
+      continue;
+    }
     for (int d = 0; d < dim_; ++d) {
       const std::int64_t c = static_cast<std::int64_t>(dim_) * x.at(i, d) - sum;
       const double norm = static_cast<double>(c) * inv_sigma_q / dim_;
@@ -643,27 +659,71 @@ QuantParams Activation::freeze(const QuantParams& in_qp,
   return out_qp_;
 }
 
+namespace {
+
+/// Widest input bus that gets a code→code table (2^16 entries), the same
+/// cap as IntPwlUnit's dense segment table.
+constexpr int kMaxActTableBits = 16;
+
+/// y[i] = out.quantize(op(2^sx·codes[i])) through one batched provider
+/// call: the per-element activation epilogue, and the source of its table.
+void act_quantize(Op op, const NonlinearProvider& nl, int sx,
+                  const QuantParams& out, std::span<const std::int64_t> codes,
+                  std::int32_t* y, Workspace* ws) {
+  std::vector<double> vals = ws_f64(ws, codes.size());
+  if (op == Op::kGelu) {
+    nl.gelu_codes(codes, sx, vals);
+  } else {
+    nl.hswish_codes(codes, sx, vals);
+  }
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    y[i] = static_cast<std::int32_t>(out.quantize(vals[i]));
+  }
+  ws_release(ws, std::move(vals));
+}
+
+}  // namespace
+
 QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
                                 Workspace* ws) const {
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int sx = x.params().po2_exponent();
   QTensor y = ws_qtensor(ws, x.shape(), out_qp_);
-  // The whole tensor streams through the dense segment table in one span
-  // call.
   const std::size_t count = x.data().size();
-  std::vector<std::int64_t> codes = ws_i64(ws, count);
-  std::vector<double> vals = ws_f64(ws, count);
-  for (std::size_t i = 0; i < count; ++i) codes[i] = x.data()[i];
-  if (op_ == Op::kGelu) {
-    nl.gelu_codes(codes, sx, vals);
-  } else {
-    nl.hswish_codes(codes, sx, vals);
+  const std::int32_t* xs = x.data().data();
+  std::int32_t* ys = y.data().data();
+  if (in_qp_.bits > kMaxActTableBits) {
+    // No table this wide: the whole tensor takes one provider call.
+    std::vector<std::int64_t> codes = ws_i64(ws, count);
+    std::copy(xs, xs + count, codes.begin());
+    act_quantize(op_, nl, sx, out_qp_, codes, ys, ws);
+    ws_release(ws, std::move(codes));
+    return y;
   }
+  // An output code depends only on its input code, so each code of the
+  // input bus is evaluated once and every element becomes one lookup.
+  // (GELU and HSWISH of every bus code stay finite below input scales near
+  // 2^1000, so building the table quantizes nothing that could throw.)
+  const BusBounds bus = bus_bounds(in_qp_.bits, in_qp_.is_signed);
+  const auto span = static_cast<std::size_t>(bus.hi - bus.lo + 1);
+  std::vector<std::int64_t> codes = ws_i64(ws, span);
+  for (std::size_t j = 0; j < span; ++j) {
+    codes[j] = bus.lo + static_cast<std::int64_t>(j);
+  }
+  std::vector<std::int32_t> table = ws_i32(ws, span);
+  act_quantize(op_, nl, sx, out_qp_, codes, table.data(), ws);
   for (std::size_t i = 0; i < count; ++i) {
-    y.data()[i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
+    const std::int64_t q = xs[i];
+    if (q >= bus.lo && q <= bus.hi) {
+      ys[i] = table[static_cast<std::size_t>(q - bus.lo)];
+    } else {
+      // Off the input bus (the API admits any int32; no frozen model
+      // produces one): the provider call the table stands in for.
+      act_quantize(op_, nl, sx, out_qp_, std::span(&q, 1), ys + i, ws);
+    }
   }
   ws_release(ws, std::move(codes));
-  ws_release(ws, std::move(vals));
+  ws_release(ws, std::move(table));
   return y;
 }
 

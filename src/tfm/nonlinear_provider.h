@@ -6,10 +6,10 @@
 // the fitted approximators and a cache of per-scale hardware units.
 //
 // Concurrency: all evaluation methods — and warm_up() itself — are safe to
-// call from many threads on one provider (the threaded tfm forward passes
-// do exactly that). Lazy unit construction is mutex-guarded; warm_up()
-// publishes immutable snapshot tiers read lock-free, so warmed hot paths
-// never touch the lock.
+// call from many threads on one provider (a server's lanes each run serial
+// forwards against one shared provider). Lazy unit construction is
+// mutex-guarded; warm_up() publishes immutable snapshot tiers read
+// lock-free, so warmed hot paths never touch the lock.
 #pragma once
 
 #include <atomic>

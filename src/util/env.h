@@ -9,8 +9,10 @@
 
 namespace gqa {
 
-/// Returns the integer value of env var `name`, or `fallback` when unset or
-/// unparsable.
+/// Returns the integer value of env var `name`, or `fallback` when it is
+/// unset or empty. A value that is not a whole base-10 integer (trailing
+/// characters included) or lies outside int64 throws ContractViolation
+/// naming the variable. Callers range-check the result before narrowing.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
 /// Returns the string value of env var `name`, or `fallback` when unset.

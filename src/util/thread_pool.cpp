@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/contracts.h"
 #include "util/env.h"
@@ -145,6 +146,10 @@ void pooled_for_chunks(
 
 int global_pool_threads() {
   const std::int64_t requested = env_int("GQA_NUM_THREADS", 0);
+  GQA_EXPECTS_MSG(requested >= 0 &&
+                      requested <= std::numeric_limits<int>::max(),
+                  "GQA_NUM_THREADS must be in [0, INT_MAX] (0 = hardware "
+                  "concurrency)");
   if (requested >= 1) return static_cast<int>(requested);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;

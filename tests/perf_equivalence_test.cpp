@@ -11,10 +11,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/protocol.h"
@@ -24,6 +26,7 @@
 #include "kernel/int_pwl_unit.h"
 #include "kernel/multirange_unit.h"
 #include "pwl/fit_grid.h"
+#include "scoped_env.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
 #include "tfm/modules.h"
@@ -98,6 +101,25 @@ TEST(ThreadPool, PooledForChunksPartitionsExactly) {
         EXPECT_EQ(hits[i].load(), 1) << "count=" << count << " i=" << i;
       }
     }
+  }
+}
+
+TEST(ThreadPool, GlobalPoolThreadsRangeChecksTheEnvKnob) {
+  // Only the lane count is computed: no pool is built from these values.
+  constexpr const char* kVar = "GQA_NUM_THREADS";
+  {
+    test::ScopedEnv env(kVar, "3");
+    EXPECT_EQ(global_pool_threads(), 3);
+  }
+  for (const char* automatic : {static_cast<const char*>(nullptr), "", "0"}) {
+    test::ScopedEnv env(kVar, automatic);
+    EXPECT_GE(global_pool_threads(), 1);
+  }
+  // Past INT_MAX used to narrow to a garbage int; trailing characters were
+  // dropped; negatives silently meant "hardware concurrency".
+  for (const char* bad : {"2147483648", "4294967299", "-1", "2x"}) {
+    test::ScopedEnv env(kVar, bad);
+    EXPECT_THROW((void)global_pool_threads(), ContractViolation) << bad;
   }
 }
 
@@ -792,15 +814,19 @@ TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
 
 TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
-  tfm::LayerNorm ln(33, rng);  // dim=33: row sums end in a vector tail
-  tfm::Tensor xl = tfm::Tensor::randn(tfm::Shape{11, 33}, rng, 1.5);
-  (void)ln.calibrate(xl);
-  const QuantParams ln_qp{xl.amax() / 127.0, 8, true};
-  (void)ln.freeze(ln_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qxl = tfm::QTensor::quantize(xl, ln_qp);
-  expect_backend_invariant(
-      [&] { return ln.forward_int(qxl, full_provider()); },
-      "LayerNorm int");
+  // dim=33: row sums end in a vector tail; 32, 64, 160 and 256 are
+  // SegFormer's stage widths.
+  for (const int dim : {33, 32, 64, 160, 256}) {
+    tfm::LayerNorm ln(dim, rng);
+    tfm::Tensor xl = tfm::Tensor::randn(tfm::Shape{11, dim}, rng, 1.5);
+    (void)ln.calibrate(xl);
+    const QuantParams ln_qp{xl.amax() / 127.0, 8, true};
+    (void)ln.freeze(ln_qp, tfm::QuantPolicy{});
+    const tfm::QTensor qxl = tfm::QTensor::quantize(xl, ln_qp);
+    const std::string what = "LayerNorm int dim=" + std::to_string(dim);
+    expect_backend_invariant(
+        [&] { return ln.forward_int(qxl, full_provider()); }, what.c_str());
+  }
 
   tfm::Tensor xs = tfm::Tensor::randn(tfm::Shape{9, 13}, rng, 2.0);
   const QuantParams sm_qp = make_po2_params(xs.amax() / 127.0, 8);
@@ -808,6 +834,92 @@ TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
   expect_backend_invariant(
       [&] { return tfm::Softmax::forward_int(qxs, full_provider()); },
       "Softmax int");
+}
+
+/// Activation::forward_int's per-element epilogue before the code table:
+/// int64 staging, one batched provider call, then out_qp.quantize.
+std::vector<std::int32_t> activation_reference(
+    Op op, const tfm::NonlinearProvider& nl, int sx, const QuantParams& out_qp,
+    const std::vector<std::int32_t>& x) {
+  std::vector<std::int64_t> codes(x.size());
+  std::vector<double> vals(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) codes[i] = x[i];
+  if (op == Op::kGelu) {
+    nl.gelu_codes(codes, sx, vals);
+  } else {
+    nl.hswish_codes(codes, sx, vals);
+  }
+  std::vector<std::int32_t> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] = static_cast<std::int32_t>(out_qp.quantize(vals[i]));
+  }
+  return y;
+}
+
+TEST(KernelBackendParity, ActivationCodeTableMatchesPerElementEpilogue) {
+  Rng rng = eq_rng();
+  const auto exact = tfm::NonlinearProvider::exact();
+  const auto exp_only =
+      tfm::NonlinearProvider::with_method(Method::kGqaRm, {Op::kExp});
+  const std::pair<const char*, const tfm::NonlinearProvider*> providers[] = {
+      {"exact", &exact},
+      {"GQA-RM replacing the op", &full_provider()},
+      {"GQA-RM replacing EXP only", &exp_only}};
+  // The 20-bit bus has no table and takes the per-element loop.
+  const std::pair<int, bool> buses[] = {
+      {8, true}, {8, false}, {4, true}, {16, true}, {20, true}};
+  for (const Op op : {Op::kGelu, Op::kHswish}) {
+    for (const auto& [bits, is_signed] : buses) {
+      // Codes span about ±8 whatever the width.
+      const QuantParams in_qp{std::ldexp(1.0, 4 - bits), bits, is_signed};
+      tfm::Activation act(op);
+      (void)act.calibrate(tfm::Tensor::randn(tfm::Shape{256}, rng, 3.0));
+      (void)act.freeze(in_qp, tfm::QuantPolicy{});
+      // Every bus code, then INT32_MIN, INT32_MAX, lo − 1 and hi + 1.
+      const BusBounds bus = bus_bounds(bits, is_signed);
+      const auto span = static_cast<std::size_t>(bus.hi - bus.lo + 1);
+      std::vector<std::int32_t> seq;
+      for (std::int64_t q = bus.lo; q <= bus.hi; ++q) {
+        seq.push_back(static_cast<std::int32_t>(q));
+      }
+      for (const std::int64_t q :
+           {std::int64_t{std::numeric_limits<std::int32_t>::min()},
+            std::int64_t{std::numeric_limits<std::int32_t>::max()},
+            bus.lo - 1, bus.hi + 1}) {
+        seq.push_back(static_cast<std::int32_t>(q));
+      }
+      for (const auto& [name, nl] : providers) {
+        const QuantParams out_qp =
+            act.forward_int(tfm::QTensor(tfm::Shape{1}, in_qp), *nl).params();
+        const std::vector<std::int32_t> want =
+            activation_reference(op, *nl, in_qp.po2_exponent(), out_qp, seq);
+        for (const std::size_t size : {std::size_t{1}, span - 1, span,
+                                       3 * span + 7}) {
+          // Tensors smaller than the bus also start at the off-bus codes,
+          // so they meet both the lookup alone and the patch pass.
+          for (const std::size_t start : {std::size_t{0}, span}) {
+            if (start != 0 && size >= span) continue;
+            tfm::QTensor x(tfm::Shape{static_cast<int>(size)}, in_qp);
+            for (std::size_t i = 0; i < size; ++i) {
+              x.data()[i] = seq[(start + i) % seq.size()];
+            }
+            for (const kernel::KernelBackend* backend : kernel::registry()) {
+              if (!kernel::backend_available(*backend)) continue;
+              kernel::BackendScope scope(backend->name);
+              const tfm::QTensor got = act.forward_int(x, *nl);
+              for (std::size_t i = 0; i < size; ++i) {
+                ASSERT_EQ(want[(start + i) % seq.size()], got.data()[i])
+                    << op_info(op).name << " " << name << " "
+                    << in_qp.to_string() << " size=" << size
+                    << " start=" << start << " code=" << x.data()[i]
+                    << " backend=" << backend->name;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelBackendParity, ResidualAddSaturatesBothEndsUnderEveryBackend) {

@@ -467,6 +467,190 @@ TEST(SimdRowKernelDifferential, AxpySumSsqMatchScalarReference) {
   }
 }
 
+/// LayerNorm::forward_int's pass-2 loop over one row, verbatim: the scalar
+/// oracle of layernorm_affine_i32.
+void layernorm_affine_oracle(const std::int32_t* x, std::int64_t dim,
+                             std::int64_t sum, double inv_sigma_q,
+                             const float* gamma, const float* beta,
+                             const QuantParams& out_qp, std::int32_t* y,
+                             std::size_t n) {
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::int64_t c = dim * x[d] - sum;
+    const double norm = static_cast<double>(c) * inv_sigma_q / dim;
+    const double val = gamma[d] * norm + beta[d];
+    y[d] = static_cast<std::int32_t>(out_qp.quantize(val));
+  }
+}
+
+/// One layernorm_affine_i32 call against the oracle, element by element;
+/// also checks that the kernel writes exactly `n` outputs. `what()` names
+/// the case and is only built on a failure.
+template <typename What>
+void expect_affine_matches(const KernelBackend& backend,
+                           const std::int32_t* x, std::int64_t dim,
+                           std::int64_t sum, double inv_sigma,
+                           const float* gamma, const float* beta,
+                           const QuantParams& out_qp, std::size_t n,
+                           const What& what) {
+  std::vector<std::int32_t> want(n);
+  layernorm_affine_oracle(x, dim, sum, inv_sigma, gamma, beta, out_qp,
+                          want.data(), n);
+  std::vector<std::int32_t> got(n + 1, -7);
+  backend.ops.layernorm_affine_i32(x, dim, sum, inv_sigma, gamma, beta,
+                                   out_qp.scale,
+                                   bus_bounds(out_qp.bits, out_qp.is_signed),
+                                   got.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(want[i], got[i]) << backend.name << " " << what() << " i=" << i
+                               << " x=" << x[i] << " gamma=" << gamma[i]
+                               << " beta=" << beta[i];
+  }
+  ASSERT_EQ(got[n], -7) << backend.name << " wrote past the row: "
+                        << what();
+}
+
+TEST(SimdRowKernelDifferential, LayerNormAffineMatchesScalarLoop) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  Rng rng(0x1A7E);
+  constexpr std::size_t kMaxLen = 67;
+  const float affine[] = {0.0F, 1e-3F, -1e-3F, 1.0F, -1.0F, 8.0F, -8.0F};
+  const std::int64_t dims[] = {2, 32, 256, 4096};
+  std::vector<QuantParams> outs;
+  for (const int bits : {4, 8, 16, 31}) {
+    outs.push_back({1.0, bits, true});
+    outs.push_back({1.0, bits, false});
+  }
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.layernorm_affine_i32 == nullptr) continue;
+    // Input codes on an 8- and a 16-bit bus (2·4096·2^15 keeps every
+    // |dim·x − sum| inside int32, the call-site gate), with the bus
+    // extremes spread through the pool so body and tail both see them.
+    for (const int in_bits : {8, 16}) {
+      const BusBounds in = bus_bounds(in_bits, true);
+      std::vector<std::int32_t> x(kMaxLen + 3);
+      std::vector<float> gamma(x.size());
+      std::vector<float> beta(x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = static_cast<std::int32_t>(
+            i % 5 == 0 ? (i % 10 == 0 ? in.lo : in.hi)
+                       : rng.uniform_int(in.lo, in.hi));
+        gamma[i] = affine[rng.uniform_int(0, 6)];
+        beta[i] = affine[rng.uniform_int(0, 6)];
+      }
+      for (const std::int64_t dim : dims) {
+        const std::int64_t sum = rng.uniform_int(dim * in.lo, dim * in.hi);
+        const double inv_sigma =
+            std::ldexp(1.0 + rng.canonical(), -in_bits / 2);
+        for (int e = -12; e <= 4; ++e) {
+          for (QuantParams out : outs) {
+            out.scale = std::ldexp(1.0, e);
+            for (std::size_t len = 0; len <= kMaxLen; ++len) {
+              for (std::size_t offset = 0; offset <= 3; ++offset) {
+                expect_affine_matches(
+                    *backend, x.data() + offset, dim, sum, inv_sigma,
+                    gamma.data() + offset, beta.data() + offset, out, len,
+                    [&] {
+                      return "in_bits=" + std::to_string(in_bits) +
+                             " dim=" + std::to_string(dim) + " out=" +
+                             out.to_string() + " len=" + std::to_string(len) +
+                             " offset=" + std::to_string(offset);
+                    });
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdRowKernelDifferential, LayerNormAffineRoundsTiesAwayAndFallsBack) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  const QuantParams out{1.0, 16, true};
+  // Exact ±k.5 ties: with dim 2, inv_sigma 1, γ 1 and β 0, an odd
+  // c = 2x − sum makes norm = c/2 a half-integer, and with out_scale 1 it
+  // is the quotient itself. β = ±(k + 1/2)·2^-3 with γ 0 and out_scale 2^-3
+  // ties through the other operand.
+  std::vector<std::int32_t> xs;
+  for (std::int32_t v = -40; v <= 40; ++v) xs.push_back(v);
+  const std::vector<float> ones(xs.size(), 1.0F);
+  const std::vector<float> zeros(xs.size(), 0.0F);
+  std::vector<float> tie_beta(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    tie_beta[i] = std::ldexp(static_cast<float>(xs[i]) + 0.5F, -3);
+  }
+  // FMA-sensitive lanes: γ·norm rounds onto a tie that the exact product
+  // misses, so a fused γ·norm + β lands on the other side of it. With
+  // dim 2, x 1 and sum 0, norm equals inv_sigma exactly; the lanes are
+  // searched for with std::fma as the fused reference.
+  std::vector<float> fma_gamma;
+  std::vector<double> fma_norm;
+  Rng rng(0xF3A);
+  for (int trial = 0; trial < 256 && fma_gamma.size() < 8; ++trial) {
+    const auto g = static_cast<float>(1.0 + rng.canonical());
+    const double norm = 1024.5 / g;
+    const double fused = std::fma(static_cast<double>(g), norm, -1024.0);
+    const double unfused = static_cast<double>(g) * norm + -1024.0;
+    if (round_to_int(fused) != round_to_int(unfused)) {
+      fma_gamma.push_back(g);
+      fma_norm.push_back(norm);
+    }
+  }
+  ASSERT_FALSE(fma_gamma.empty()) << "no FMA-sensitive lane found";
+  for (const KernelBackend* backend : backends) {
+    if (backend->ops.layernorm_affine_i32 == nullptr) continue;
+    for (const std::int64_t sum : {-1, 1, 3}) {
+      expect_affine_matches(*backend, xs.data(), 2, sum, 1.0, ones.data(),
+                            zeros.data(), out, xs.size(), [&] {
+                              return "c ties, sum=" + std::to_string(sum);
+                            });
+    }
+    expect_affine_matches(*backend, xs.data(), 2, 0, 1.0, zeros.data(),
+                          tie_beta.data(), QuantParams{0.125, 16, true},
+                          xs.size(), [] { return "beta ties"; });
+    for (std::size_t k = 0; k < fma_gamma.size(); ++k) {
+      // Four identical lanes, so the vector body (not the tail) runs them.
+      const std::vector<std::int32_t> one(4, 1);
+      const std::vector<float> g(4, fma_gamma[k]);
+      const std::vector<float> b(4, -1024.0F);
+      expect_affine_matches(*backend, one.data(), 2, 0, fma_norm[k], g.data(),
+                            b.data(), out, 4,
+                            [] { return "FMA-sensitive lane"; });
+    }
+    // One lane at 127·2^48 ≥ 2^53 (inside int64) among ordinary lanes: the
+    // oracle's cast and clamp, not the vector rounding, decide it.
+    std::vector<std::int32_t> big(8, 0);
+    big[5] = 127;
+    const std::vector<float> g8(8, 1.0F);
+    const std::vector<float> b8(8, 0.25F);
+    expect_affine_matches(*backend, big.data(), 2, 0, std::ldexp(1.0, 48),
+                          g8.data(), b8.data(), QuantParams{1.0, 31, true}, 8,
+                          [] { return "one lane >= 2^53"; });
+    // One infinite lane (c·inv_sigma overflows; every other c is 0) must
+    // throw the oracle's ContractViolation, in the vector body (lane 2) and
+    // in the tail (lane 9 of 10).
+    const std::vector<float> g10(10, 1.0F);
+    const std::vector<float> b10(10, 0.25F);
+    for (const std::size_t lane : {std::size_t{2}, std::size_t{9}}) {
+      std::vector<std::int32_t> row(10, 3);
+      row[lane] = 4;
+      std::vector<std::int32_t> sink(row.size());
+      EXPECT_THROW(layernorm_affine_oracle(row.data(), 2, 6, 1e308, g10.data(),
+                                           b10.data(), out, sink.data(),
+                                           row.size()),
+                   ContractViolation);
+      EXPECT_THROW(backend->ops.layernorm_affine_i32(
+                       row.data(), 2, 6, 1e308, g10.data(), b10.data(),
+                       out.scale, bus_bounds(out.bits, out.is_signed),
+                       sink.data(), row.size()),
+                   ContractViolation)
+          << backend->name << " infinite lane " << lane;
+    }
+  }
+}
+
 /// Requantizer::apply's body for an arbitrary {mult, shift} pair (the class
 /// only builds its multiplier from a scale ratio), narrowed as callers do.
 std::int32_t requant_oracle(const Dyadic& m, const QuantParams& out,

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "eval/server.h"
+#include "scoped_env.h"
 #include "tfm/nonlinear_provider.h"
 #include "util/contracts.h"
 #include "util/env.h"
@@ -456,6 +457,54 @@ TEST(StreamClose, CancelPendingFailsUndeliveredFramesButFinishesStarted) {
   }
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.streams_open, 0U);
+}
+
+TEST(StreamEnvKnobs, RingCapacityFromTheEnvironmentIsParsedStrictly) {
+  constexpr const char* kVar = "GQA_STREAM_RING_CAPACITY";
+  {
+    // Options leave ring_capacity 0, so the knob sizes the ring: with 2,
+    // three frames pending behind the gated one displace exactly one.
+    test::ScopedEnv env(kVar, "2");
+    GatedStreamRun run;
+    run_gated_stream(run, DropPolicy::kDropOldest, /*ring_capacity=*/0,
+                     std::chrono::milliseconds(0), /*pending_frames=*/3,
+                     std::chrono::milliseconds(0));
+    EXPECT_EQ(run.stats.frames_dropped, 1U);
+  }
+  // -1 used to wrap to SIZE_MAX and fail in the ring's allocation; "8x"
+  // used to open a ring of 8.
+  for (const char* bad : {"-1", "0", "8x", "99999999999999999999"}) {
+    test::ScopedEnv env(kVar, bad);
+    const tfm::NonlinearProvider nl = tfm::NonlinearProvider::exact();
+    ServerOptions options;
+    options.num_threads = 1;
+    options.warm_provider = false;
+    Server server(nl, options);
+    const int model = server.register_forward(
+        "toy", [](const tfm::Tensor& image, tfm::Workspace*) {
+          return toy_forward(image, 1);
+        });
+    EXPECT_THROW((void)server.open_stream(
+                     model, StreamOptions{},
+                     [](Server::Ticket, tfm::QTensor, std::exception_ptr) {}),
+                 ContractViolation)
+        << bad;
+  }
+}
+
+TEST(StreamEnvKnobs, BreakerThresholdFromTheEnvironmentIsRangeChecked) {
+  // The server reads the knob at construction when the scheduler config
+  // leaves the threshold at its -1 sentinel.
+  const tfm::NonlinearProvider nl = tfm::NonlinearProvider::exact();
+  ServerOptions options;
+  options.num_threads = 1;
+  options.warm_provider = false;
+  for (const char* bad : {"2147483648", "-1", "3x"}) {
+    test::ScopedEnv env("GQA_BREAKER_THRESHOLD", bad);
+    EXPECT_THROW(Server(nl, options), ContractViolation) << bad;
+  }
+  test::ScopedEnv env("GQA_BREAKER_THRESHOLD", "3");
+  EXPECT_NO_THROW({ Server server(nl, options); });
 }
 
 TEST(StreamCoexistence, StreamsAndPlainSubmitsShareAModel) {

@@ -1,12 +1,18 @@
-// Unit tests for the utility substrate: contracts, RNG, strings, JSON,
-// CSV, and the table printer.
+// Unit tests for the utility substrate: contracts, env knobs, RNG, strings,
+// JSON, CSV, and the table printer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
+#include "scoped_env.h"
 #include "util/contracts.h"
 #include "util/csv.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -37,6 +43,44 @@ TEST(Contracts, MessageIncludesConditionAndFile) {
 TEST(Contracts, EnsuresAndAssertAlsoThrow) {
   EXPECT_THROW(GQA_ENSURES(false), ContractViolation);
   EXPECT_THROW(GQA_ASSERT(false), ContractViolation);
+}
+
+// ------------------------------------------------------------ env knobs ---
+
+TEST(EnvKnobs, IntFallsBackOnlyWhenUnsetOrEmpty) {
+  constexpr const char* kVar = "GQA_UTIL_TEST_INT";
+  {
+    test::ScopedEnv env(kVar, nullptr);
+    EXPECT_EQ(env_int(kVar, 5), 5);
+  }
+  {
+    test::ScopedEnv env(kVar, "");
+    EXPECT_EQ(env_int(kVar, 5), 5);
+  }
+  const std::pair<const char*, std::int64_t> good[] = {
+      {"42", 42},
+      {"-7", -7},
+      {"0", 0},
+      {"9223372036854775807", std::numeric_limits<std::int64_t>::max()}};
+  for (const auto& [raw, want] : good) {
+    test::ScopedEnv env(kVar, raw);
+    EXPECT_EQ(env_int(kVar, 5), want) << raw;
+  }
+}
+
+TEST(EnvKnobs, IntRejectsTrailingGarbageAndOutOfRangeNamingTheVariable) {
+  constexpr const char* kVar = "GQA_UTIL_TEST_INT";
+  for (const char* raw : {"8x", "abc", "1.5", "4 ", "99999999999999999999",
+                          "-99999999999999999999"}) {
+    test::ScopedEnv env(kVar, raw);
+    try {
+      (void)env_int(kVar, 5);
+      ADD_FAILURE() << "'" << raw << "' was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(kVar), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ----------------------------------------------------------------- rng ---
