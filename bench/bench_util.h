@@ -3,6 +3,7 @@
 // table or figure of the paper (see DESIGN.md §4 for the index).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -21,6 +23,7 @@
 #include "core/approximator.h"
 #include "eval/protocol.h"
 #include "eval/server.h"
+#include "util/contracts.h"
 #include "util/csv.h"
 #include "util/env.h"
 #include "util/json.h"
@@ -176,6 +179,29 @@ inline std::vector<std::pair<int, const tfm::Tensor*>> mixed_request_list(
     requests.emplace_back(evit_id, &img);
   }
   return requests;
+}
+
+/// Best-of-`reps` wall time of `fn` in milliseconds.
+template <typename Fn>
+double time_best_ms(int reps, const Fn& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    Timer timer;
+    fn();
+    best = std::min(best, timer.milliseconds());
+  }
+  return best;
+}
+
+/// GQA_BENCH_REPS, the timing rounds per measurement (`fallback` when
+/// unset). Below 1 no round would run and every time would read as the
+/// 1e300 sentinel, so it throws ContractViolation naming the variable.
+inline int bench_reps(int fallback) {
+  const std::int64_t reps = env_int("GQA_BENCH_REPS", fallback);
+  GQA_EXPECTS_MSG(reps >= 1 && reps <= std::numeric_limits<int>::max(),
+                  "GQA_BENCH_REPS must be in [1, INT_MAX], got " +
+                      std::to_string(reps));
+  return static_cast<int>(reps);
 }
 
 /// Number of independent fit seeds to average (GA/NN-LUT runs are

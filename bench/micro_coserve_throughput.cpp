@@ -64,7 +64,7 @@ std::vector<tfm::QTensor> serve_stream(
 
 int main() {
   const int scenes = static_cast<int>(env_int("GQA_SERVE_SCENES", 8));
-  const int reps = static_cast<int>(env_int("GQA_BENCH_REPS", 5));
+  const int reps = bench::bench_reps(5);
   const auto queue_cap =
       static_cast<std::size_t>(env_int("GQA_SERVER_QUEUE", 64));
 

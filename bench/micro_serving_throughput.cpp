@@ -29,17 +29,7 @@ using namespace gqa;
 
 namespace {
 
-/// Best-of-N wall time of `fn` in milliseconds.
-template <typename Fn>
-double time_best_ms(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.milliseconds());
-  }
-  return best;
-}
+using bench::time_best_ms;
 
 std::int64_t code_checksum(const std::vector<tfm::QTensor>& logits) {
   std::int64_t sum = 0;
@@ -145,7 +135,7 @@ ServeResult serve_model(const ModelT& model, const tfm::NonlinearProvider& nl,
 
 int main() {
   const int scenes = static_cast<int>(env_int("GQA_SERVE_SCENES", 16));
-  const int reps = static_cast<int>(env_int("GQA_BENCH_REPS", 5));
+  const int reps = bench::bench_reps(5);
   const std::vector<tfm::Tensor> images = serve_images(scenes, 64);
 
   TablePrinter table({"Model", "Serial img/s", "Engine(1) img/s",

@@ -48,7 +48,7 @@ double median(std::vector<double> v) {
 
 int main() {
   const int scenes = static_cast<int>(env_int("GQA_SERVE_SCENES", 8));
-  const int reps = static_cast<int>(env_int("GQA_BENCH_REPS", 5));
+  const int reps = bench::bench_reps(5);
 
   SceneOptions scene;
   scene.size = 64;

@@ -141,11 +141,18 @@ Approximator Approximator::fit(Op op, Method method,
   if (options.range_lo) cfg.range_lo = *options.range_lo;
   if (options.range_hi) cfg.range_hi = *options.range_hi;
 
+  // Restarts differ only in the GA seed, so they share grid and objective.
+  cfg.validate();
+  const FitGrid grid = FitGrid::make(op_info(op).f, cfg.range_lo,
+                                     cfg.range_hi, cfg.grid_step);
+  const QuantAwareObjective objective(grid, cfg.lambda,
+                                      cfg.deployment_scale_exps,
+                                      cfg.input_bits);
   double best_fitness = std::numeric_limits<double>::infinity();
   std::map<int, double> best_deployed;
   for (int r = 0; r < options.ga_restarts; ++r) {
     cfg.ga.seed = seed + static_cast<std::uint64_t>(r) * 0x51D;
-    const GqaFitResult result = fit_gqa_lut(cfg);
+    const GqaFitResult result = fit_gqa_lut(cfg, grid, objective);
     if (result.ga.best_fitness < best_fitness) {
       best_fitness = result.ga.best_fitness;
       approx.fp_table_ = result.fp_table;

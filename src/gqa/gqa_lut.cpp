@@ -92,10 +92,17 @@ void repair_breakpoints(Genome& genome, double lo, double hi,
 
 GqaFitResult fit_gqa_lut(const GqaConfig& config) {
   config.validate();
-  const OpInfo& info = op_info(config.op);
-  const FitGrid grid =
-      FitGrid::make(info.f, config.range_lo, config.range_hi, config.grid_step);
+  const FitGrid grid = FitGrid::make(op_info(config.op).f, config.range_lo,
+                                     config.range_hi, config.grid_step);
+  const QuantAwareObjective objective(grid, config.lambda,
+                                      config.deployment_scale_exps,
+                                      config.input_bits);
+  return fit_gqa_lut(config, grid, objective);
+}
 
+GqaFitResult fit_gqa_lut(const GqaConfig& config, const FitGrid& grid,
+                         const QuantAwareObjective& objective) {
+  config.validate();
   const auto nb = static_cast<std::size_t>(config.breakpoint_count());
   const InitFn init = [&config, nb](Rng& rng) {
     Genome g(nb);
@@ -104,9 +111,6 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
     return g;
   };
 
-  const QuantAwareObjective objective(grid, config.lambda,
-                                      config.deployment_scale_exps,
-                                      config.input_bits);
   const auto deployed_per_scale = [&config, &objective](const Genome& g) {
     return config.use_naive_objective ? objective.per_scale_mse_naive(g)
                                       : objective.per_scale_mse(g);

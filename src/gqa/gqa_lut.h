@@ -6,6 +6,7 @@
 #include <string>
 
 #include "genetic/genetic.h"
+#include "gqa/objective.h"
 #include "gqa/rounding_mutation.h"
 #include "numerics/nonlinear.h"
 #include "pwl/fit_grid.h"
@@ -110,6 +111,13 @@ struct GqaFitResult {
 
 /// Runs Algorithm 1 end to end.
 [[nodiscard]] GqaFitResult fit_gqa_lut(const GqaConfig& config);
+
+/// The same fit over the grid and objective the one-argument overload
+/// builds from `config`, so restarts that differ only in `ga.seed` share
+/// one build.
+[[nodiscard]] GqaFitResult fit_gqa_lut(const GqaConfig& config,
+                                       const FitGrid& grid,
+                                       const QuantAwareObjective& objective);
 
 /// Repair operator shared with tests: clip into (Rn, Rp), sort, and enforce
 /// minimum separation.

@@ -37,8 +37,6 @@ const std::vector<const KernelBackend*>& registry() {
   return backends;
 }
 
-const KernelBackend& scalar_backend() { return kScalarBackend; }
-
 bool backend_available(const KernelBackend& backend) {
   return backend.probe();
 }

@@ -65,6 +65,15 @@ struct PwlTableView {
   double acc_scale = 0.0;
 };
 
+/// Byte offset of weight (o, j) of a {outs, k} int8 matrix packed into GEMM
+/// panels of 16 outputs × kp = ⌈k/2⌉ k-pairs: k-pair j/2 of panel o/16 is
+/// 32 bytes holding (o%16, even j), (o%16, odd j) pairs. Outputs past
+/// `outs` and the odd-k pad hold zero.
+constexpr std::size_t gemm_panel_offset(std::size_t o, std::size_t j,
+                                        std::size_t kp) {
+  return ((o / 16) * kp + j / 2) * 32 + (o % 16) * 2 + j % 2;
+}
+
 /// Function table of one backend. Null entry == "scalar oracle handles it".
 struct KernelOps {
   /// IntPwlUnit::eval_codes body: contract-checks each code against the
@@ -80,21 +89,22 @@ struct KernelOps {
   /// clamp to the input bus instead of failing the precondition).
   void (*pwl_eval_reals_sat)(const PwlTableView&, const std::int64_t* q,
                              double* out, std::size_t n) = nullptr;
-  /// Σ a[i]·w[i] with int64 accumulation. Callers: the integer GEMM behind
-  /// Linear::forward_int and the dense Conv2d lowering, for activation rows
-  /// too wide for dot4_i16_i8 and for the outputs left over after the last
-  /// block of 4; perfbench's `kernel.dot_i32_i8_ns` probe.
+  /// Σ a[i]·w[i] with int64 accumulation over contiguous int8 weights. No
+  /// model path calls it since the GEMM weights moved into panels; it stays
+  /// for perfbench's `kernel.dot_i32_i8_ns` probe and the kernel_simd bench.
   std::int64_t (*dot_i32_i8)(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) = nullptr;
-  /// out[r] = Σ a[i]·w[r·w_stride + i] for r = 0..3, int32 accumulation:
-  /// one int16-narrowed activation row against a block of 4 weight rows.
-  /// The inner step of the integer GEMM behind Linear::forward_int and the
-  /// dense (im2col-lowered) Conv2d::forward_int. Caller guarantees
-  /// n·max|a|·128 ≤ INT32_MAX, which bounds every partial sum in any order,
-  /// so the int32 result is the exact sum. Scalar oracle: four dot loops.
-  void (*dot4_i16_i8)(const std::int16_t* a, const std::int8_t* w,
-                      std::size_t w_stride, std::size_t n,
-                      std::int32_t* out) = nullptr;
+  /// One 4-row × 16-output tile of the integer GEMM behind Linear and the
+  /// dense Conv2d: c[r·ldc + o] = bias16[o] + Σ_j a[r·lda + j]·w(o, j) for
+  /// r < 4, o < 16, j < 2·kp, with w(o, j) at panel[gemm_panel_offset(o,
+  /// j, kp)] (one panel), so each k-pair's 32 bytes widen straight into
+  /// `vpmaddwd` operands. Caller guarantees max|bias16| + 2·kp·max|a|·128
+  /// ≤ INT32_MAX, which bounds every partial sum in any order, so the int32
+  /// result is exact. Scalar oracle: the int64 loops of Linear and Conv2d.
+  void (*gemm4x16_i16_i8)(const std::int16_t* a, std::size_t lda,
+                          const std::int8_t* panel, std::size_t kp,
+                          const std::int32_t* bias16, std::int32_t* c,
+                          std::size_t ldc) = nullptr;
   /// acc[i] += w·x[i] over an int32 row. Caller: the depthwise
   /// Conv2d::forward_int lowering, one stride-1 output row per kernel tap,
   /// which guarantees |bias| + taps·|w·x| ≤ INT32_MAX, so no lane wraps.
@@ -153,9 +163,6 @@ extern const KernelBackend kAvx2Backend;
 /// All compiled-in backends, highest dispatch priority first; `scalar` is
 /// always present and always last.
 [[nodiscard]] const std::vector<const KernelBackend*>& registry();
-
-/// The always-available all-null-ops oracle backend.
-[[nodiscard]] const KernelBackend& scalar_backend();
 
 /// True when the backend's capability probe passes on this host.
 [[nodiscard]] bool backend_available(const KernelBackend& backend);

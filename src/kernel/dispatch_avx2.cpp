@@ -9,9 +9,10 @@
 //  - 32x32->64 signed multiplies (_mm256_mul_epi32) are exact whenever
 //    both operands fit int32, which the PwlTableView eligibility
 //    invariants and the call-site gates guarantee;
-//  - the int16 x int8 GEMM block (_mm256_madd_epi16 into int32 lanes) is
-//    exact because its caller bounds n·max|a|·128 ≤ INT32_MAX, which caps
-//    every partial sum of the row; the int32 depthwise axpy likewise;
+//  - the int16 x int8 GEMM tile (_mm256_madd_epi16 into int32 lanes) is
+//    exact because its caller bounds max|bias| + k·max|a|·128 ≤ INT32_MAX,
+//    which caps every partial sum of a row; the int32 depthwise axpy
+//    likewise;
 //  - the requantizer's rounding shift is the branch-free shift_round
 //    identity on exact int64 products, with the missing 64-bit arithmetic
 //    shift emulated by a logical shift plus sign extension;
@@ -25,7 +26,8 @@
 //    in the same order in every lane (multiply, divide, widen γ/β, multiply,
 //    add, divide, then round half away from zero via an exact truncated
 //    fraction), never contracted into an FMA (-ffp-contract=off).
-// Each kernel ends with a scalar tail loop for the n % lane_width rump.
+// Each kernel ends with a scalar tail loop for the n % lane_width rump,
+// except the GEMM tile, whose caller pads rows and outputs to its shape.
 #include "kernel/dispatch.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -304,85 +306,61 @@ std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
   return sum;
 }
 
-/// acc += the 16 products av[j]·w[j], pairwise summed into 8 int32 lanes
-/// (vpmaddwd); the weights widen to int16 in-register, so |w| ≤ 128 keeps
-/// each pair sum far inside int32.
-inline __m256i mac16_i16_i8(__m256i acc, __m256i av, const std::int8_t* w) {
-  const __m256i wv = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
+/// Two int16 codes (one k-pair of an activation row) broadcast to all 8
+/// dword lanes.
+inline __m256i broadcast_pair(const std::int16_t* a) {
+  std::int32_t pair;
+  std::memcpy(&pair, a, sizeof(pair));
+  return _mm256_set1_epi32(pair);
 }
 
-/// acc += av[j]·w8[j] over 8 int16 lanes, pairwise summed into 4 int32
-/// lanes. The 4-wide step passes zeros in the upper 4 lanes of both.
-inline __m128i mac8_i16_i8(__m128i acc, __m128i av, __m128i w8) {
-  return _mm_add_epi32(acc, _mm_madd_epi16(av, _mm_cvtepi8_epi16(w8)));
+/// acc += the 8 int32 pair sums av·w of one k-pair (vpmaddwd).
+inline __m256i mac_pair(__m256i acc, __m256i av, __m256i w) {
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(av, w));
 }
 
-void avx2_dot4_i16_i8(const std::int16_t* a, const std::int8_t* w,
-                      std::size_t w_stride, std::size_t n, std::int32_t* out) {
-  const std::int8_t* w0 = w;
-  const std::int8_t* w1 = w + w_stride;
-  const std::int8_t* w2 = w + 2 * w_stride;
-  const std::int8_t* w3 = w + 3 * w_stride;
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc0 = mac16_i16_i8(acc0, av, w0 + i);
-    acc1 = mac16_i16_i8(acc1, av, w1 + i);
-    acc2 = mac16_i16_i8(acc2, av, w2 + i);
-    acc3 = mac16_i16_i8(acc3, av, w3 + i);
+void avx2_gemm4x16_i16_i8(const std::int16_t* a, std::size_t lda,
+                          const std::int8_t* panel, std::size_t kp,
+                          const std::int32_t* bias16, std::int32_t* c,
+                          std::size_t ldc) {
+  // cR_lo/cR_hi: outputs 0-7 / 8-15 of row R, seeded with the bias. Named
+  // registers, not an array: GCC spills an indexed accumulator array.
+  const __m256i b_lo =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias16));
+  const __m256i b_hi =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias16 + 8));
+  __m256i c0_lo = b_lo, c0_hi = b_hi, c1_lo = b_lo, c1_hi = b_hi;
+  __m256i c2_lo = b_lo, c2_hi = b_hi, c3_lo = b_lo, c3_hi = b_hi;
+  for (std::size_t j = 0; j < kp; ++j) {
+    // The k-pair's 32 weight bytes widened to the int16 (even, odd) pairs
+    // of outputs 0-7 and 8-15, shared by all 4 rows; |w| ≤ 128 keeps each
+    // pair sum exact.
+    const std::int8_t* wp = panel + 32 * j;
+    const __m256i w_lo = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wp)));
+    const __m256i w_hi = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wp + 16)));
+    __m256i av = broadcast_pair(a + 2 * j);
+    c0_lo = mac_pair(c0_lo, av, w_lo);
+    c0_hi = mac_pair(c0_hi, av, w_hi);
+    av = broadcast_pair(a + lda + 2 * j);
+    c1_lo = mac_pair(c1_lo, av, w_lo);
+    c1_hi = mac_pair(c1_hi, av, w_hi);
+    av = broadcast_pair(a + 2 * lda + 2 * j);
+    c2_lo = mac_pair(c2_lo, av, w_lo);
+    c2_hi = mac_pair(c2_hi, av, w_hi);
+    av = broadcast_pair(a + 3 * lda + 2 * j);
+    c3_lo = mac_pair(c3_lo, av, w_lo);
+    c3_hi = mac_pair(c3_hi, av, w_hi);
   }
-  // Fold each row's halves to 4 lanes for the 128-bit 8- and 4-wide steps,
-  // which keep short rows (K = 12, 24, 27 1x1 convs) off the scalar tail.
-  const auto fold = [](__m256i v) {
-    return _mm_add_epi32(_mm256_castsi256_si128(v),
-                         _mm256_extracti128_si256(v, 1));
+  const auto store = [](std::int32_t* row, __m256i lo, __m256i hi) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + 8), hi);
   };
-  __m128i s0 = fold(acc0);
-  __m128i s1 = fold(acc1);
-  __m128i s2 = fold(acc2);
-  __m128i s3 = fold(acc3);
-  if (i + 8 <= n) {
-    const __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const auto w8 = [&](const std::int8_t* wr) {
-      return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(wr + i));
-    };
-    s0 = mac8_i16_i8(s0, av, w8(w0));
-    s1 = mac8_i16_i8(s1, av, w8(w1));
-    s2 = mac8_i16_i8(s2, av, w8(w2));
-    s3 = mac8_i16_i8(s3, av, w8(w3));
-    i += 8;
-  }
-  if (i + 4 <= n) {
-    const __m128i av = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i));
-    const auto w4 = [&](const std::int8_t* wr) {
-      std::int32_t packed;
-      std::memcpy(&packed, wr + i, sizeof(packed));
-      return _mm_cvtsi32_si128(packed);
-    };
-    s0 = mac8_i16_i8(s0, av, w4(w0));
-    s1 = mac8_i16_i8(s1, av, w4(w1));
-    s2 = mac8_i16_i8(s2, av, w4(w2));
-    s3 = mac8_i16_i8(s3, av, w4(w3));
-    i += 4;
-  }
-  // Two rounds of pairwise lane sums leave row r's total in lane r.
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   _mm_hadd_epi32(_mm_hadd_epi32(s0, s1),
-                                  _mm_hadd_epi32(s2, s3)));
-  for (; i < n; ++i) {
-    const std::int32_t ai = a[i];
-    out[0] += ai * w0[i];
-    out[1] += ai * w1[i];
-    out[2] += ai * w2[i];
-    out[3] += ai * w3[i];
-  }
+  store(c, c0_lo, c0_hi);
+  store(c + ldc, c1_lo, c1_hi);
+  store(c + 2 * ldc, c2_lo, c2_hi);
+  store(c + 3 * ldc, c3_lo, c3_hi);
 }
 
 void avx2_axpy_i32(std::int32_t* acc, const std::int32_t* x, std::int32_t w,
@@ -607,7 +585,7 @@ const KernelBackend kAvx2Backend{
             .pwl_eval_reals = avx2_pwl_eval_reals,
             .pwl_eval_reals_sat = avx2_pwl_eval_reals_sat,
             .dot_i32_i8 = avx2_dot_i32_i8,
-            .dot4_i16_i8 = avx2_dot4_i16_i8,
+            .gemm4x16_i16_i8 = avx2_gemm4x16_i16_i8,
             .axpy_i32 = avx2_axpy_i32,
             .requant_i32 = avx2_requant_i32,
             .sum_i32 = avx2_sum_i32,

@@ -13,15 +13,31 @@ namespace gqa::tfm {
 
 namespace {
 
-/// Symmetric per-tensor weight quantization to INT8 codes.
-double quantize_weights(const Tensor& w, std::vector<std::int8_t>& codes) {
+/// Symmetric per-tensor INT8 quantization of a row-major {outs, k} weight
+/// matrix, straight into GEMM panels (kernel::gemm_panel_offset, pads zero)
+/// or, without `panels`, row-major (depthwise Conv2d).
+double quantize_weights(const Tensor& w, std::size_t outs, bool panels,
+                        std::vector<std::int8_t>& codes) {
   const double scale = std::max(w.amax(), 1e-8) / 127.0;
-  codes.resize(w.data().size());
-  for (std::size_t i = 0; i < w.data().size(); ++i) {
-    codes[i] = static_cast<std::int8_t>(saturate(
-        round_to_int(static_cast<double>(w.data()[i]) / scale), 8, true));
+  const std::size_t k = w.data().size() / outs;
+  const std::size_t kp = (k + 1) / 2;
+  codes.assign(panels ? (outs + 15) / 16 * kp * 32 : outs * k, 0);
+  for (std::size_t o = 0; o < outs; ++o) {
+    for (std::size_t j = 0; j < k; ++j) {
+      codes[panels ? kernel::gemm_panel_offset(o, j, kp) : o * k + j] =
+          static_cast<std::int8_t>(saturate(
+              round_to_int(static_cast<double>(w.data()[o * k + j]) / scale),
+              8, true));
+    }
   }
   return scale;
+}
+
+/// Weight (o, j) of a panel-packed {outs, k} matrix: how the scalar oracles
+/// read the GEMM weights.
+inline std::int8_t panel_weight(const std::vector<std::int8_t>& panels,
+                                std::size_t k, std::size_t o, std::size_t j) {
+  return panels[kernel::gemm_panel_offset(o, j, (k + 1) / 2)];
 }
 
 std::vector<std::int32_t> quantize_bias(const Tensor& b, double acc_scale) {
@@ -50,72 +66,93 @@ std::int64_t max_abs(const std::vector<std::int32_t>& v) {
   return m;
 }
 
-/// True when the active backend vectorizes the integer GEMM (the 4-row
-/// int16 block and the int64 single-row dot). Otherwise Linear and the
-/// dense Conv2d keep their scalar loops, the oracle.
-bool has_int_gemm(const kernel::KernelOps& ops) {
-  return ops.dot4_i16_i8 != nullptr && ops.dot_i32_i8 != nullptr;
-}
-
-/// Integer GEMM shared by Linear and the dense Conv2d lowering. For each of
-/// `rows` activation rows a_i = a[i·k, i·k+k) and each output o with weight
-/// row w_o = w[o·k, o·k+k):
-///   y[i·row_stride + o·col_stride] = rq(bias[o] + Σ a_i·w_o).
-/// Each row is narrowed to int16 once. When max|bias| + k·max|a_i|·128 ≤
-/// INT32_MAX, no partial sum of bias[o] + a_i·w_o can leave int32
-/// (|w| ≤ 128), so blocks of 4 outputs share one pass over the narrowed row
-/// (dot4_i16_i8), take their bias in int32, and are requantized together
-/// in one requantize_row call. Rows outside that bound, and the outputs
-/// after the last block, go through the int64 dot_i32_i8 and a scalar
-/// requantizer. Either way every output equals the scalar loop's
-/// bias-then-products sum bit for bit.
+/// Integer GEMM shared by Linear and the dense Conv2d lowering: with
+/// activation (i, j) at a[i·a_row + j·a_col] and weight (o, j) in the
+/// panels `w`, y[i·y_row + o·y_col] = rq(bias[o] + Σ_j a(i, j)·w(o, j)) for
+/// i < rows, o < outs = bias.size(). Blocks of 16 rows are narrowed to int16
+/// (zero-padded to even k), then each panel meets the block's 4 tiles while
+/// it sits in L1, and a conv channel's 16 pixels fill one cache line. A row
+/// breaking max|bias| + k·max|a|·128 ≤ INT32_MAX (or int16) enters its tile
+/// as a zero row, as do rows past `rows`, and then takes the oracle's int64
+/// loop, so every output equals the scalar loop's bit for bit.
 void int_gemm(const kernel::KernelOps& ops, const std::int32_t* a,
-              std::size_t rows, std::size_t k, const std::vector<std::int8_t>& w,
+              std::size_t rows, std::size_t k, std::size_t a_row,
+              std::size_t a_col, const std::vector<std::int8_t>& w,
               const std::vector<std::int32_t>& bias, const Requantizer& rq,
-              std::int32_t* y, std::size_t row_stride, std::size_t col_stride,
-              Workspace* ws) {
+              std::int32_t* y, std::size_t y_row, std::size_t y_col) {
+  constexpr std::size_t kBlock = 16;
   const std::size_t outs = bias.size();
-  // The largest |a| a row may hold and still take the int16 block: it fits
-  // int16 and keeps max|bias| + k·|a|·128 ≤ INT32_MAX (k ≥ 1: Linear and
-  // Conv2d reject empty rows at construction; quantize_bias keeps
-  // |bias| ≤ 2^30).
-  const std::int64_t bound_lim =
-      (std::numeric_limits<std::int32_t>::max() - max_abs(bias)) /
-      static_cast<std::int64_t>(128 * k);
+  const std::size_t kp = (k + 1) / 2;
+  const std::size_t lda = 2 * kp;
+  // The largest |a| a row may hold and still take the tile (k ≥ 1: Linear
+  // and Conv2d reject empty rows; quantize_bias keeps |bias| ≤ 2^30).
   const auto a_lim = static_cast<std::int32_t>(std::min<std::int64_t>(
-      std::numeric_limits<std::int16_t>::max(), bound_lim));
-  std::vector<std::int16_t> a16(k);
-  // Strided outputs (the conv's channel-major layout) stage a row's blocked
-  // sums here; contiguous ones (Linear) sum and requantize in place in y.
-  std::vector<std::int32_t> staged = ws_i32(ws, col_stride == 1 ? 0 : outs);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::int32_t* arow = a + i * k;
-    std::int32_t* yrow = y + i * row_stride;
-    std::int32_t lo = 0;
-    std::int32_t hi = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      lo = std::min(lo, arow[j]);
-      hi = std::max(hi, arow[j]);
-      a16[j] = static_cast<std::int16_t>(arow[j]);
-    }
-    std::size_t o = 0;
-    if (lo >= -a_lim && hi <= a_lim) {
-      std::int32_t* sums = col_stride == 1 ? yrow : staged.data();
-      for (; o + 4 <= outs; o += 4) {
-        ops.dot4_i16_i8(a16.data(), w.data() + o * k, k, k, sums + o);
-        for (std::size_t r = 0; r < 4; ++r) sums[o + r] += bias[o + r];
+      std::numeric_limits<std::int16_t>::max(),
+      (std::numeric_limits<std::int32_t>::max() - max_abs(bias)) /
+          static_cast<std::int64_t>(128 * k)));
+  // Full panels read their bias in place, a partial last one this copy.
+  std::int32_t tail_bias[16] = {};
+  std::copy(bias.begin() + static_cast<std::ptrdiff_t>(outs / 16 * 16),
+            bias.end(), tail_bias);
+  // This thread's int16 row block, grown to the widest k it has met.
+  thread_local std::vector<std::int16_t> block;
+  if (block.size() < kBlock * lda) block.resize(kBlock * lda);
+  for (std::size_t i0 = 0; i0 < rows; i0 += kBlock) {
+    const std::size_t n = std::min(kBlock, rows - i0);
+    bool in_bound[kBlock] = {};
+    for (std::size_t r = 0; r < kBlock; ++r) {
+      std::int16_t* dst = block.data() + r * lda;
+      if (r < n) {
+        const std::int32_t* arow = a + (i0 + r) * a_row;
+        std::int32_t lo = 0, hi = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const std::int32_t v = arow[j * a_col];
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+          dst[j] = static_cast<std::int16_t>(v);
+        }
+        in_bound[r] = lo >= -a_lim && hi <= a_lim;
       }
-      requantize_row(rq, sums, sums, o);
-      if (col_stride != 1) {
-        for (std::size_t j = 0; j < o; ++j) yrow[j * col_stride] = sums[j];
+      // The odd-k pad, or the whole of a zero row.
+      std::fill(dst + (in_bound[r] ? k : 0), dst + lda, std::int16_t{0});
+    }
+    for (std::size_t p = 0; p * 16 < outs; ++p) {
+      const std::int32_t* b = p < outs / 16 ? bias.data() + p * 16 : tail_bias;
+      const std::size_t width = std::min<std::size_t>(16, outs - p * 16);
+      // Linear's whole tiles land in y as sums, requantized per row below;
+      // the rest go through `tile`, requantized here when they are conv's.
+      const std::size_t direct = y_col == 1 && width == 16 ? n / 4 * 4 : 0;
+      std::int32_t tile[kBlock * 16];
+      for (std::size_t t = 0; t < n; t += 4) {
+        ops.gemm4x16_i16_i8(
+            block.data() + t * lda, lda, w.data() + p * kp * 32, kp, b,
+            t < direct ? y + (i0 + t) * y_row + p * 16 : tile + t * 16,
+            t < direct ? y_row : 16);
+      }
+      if (y_col != 1) requantize_row(rq, tile, tile, n * 16);
+      for (std::size_t o = 0; o < width; ++o) {
+        for (std::size_t r = direct; r < n; ++r) {
+          y[(i0 + r) * y_row + (p * 16 + o) * y_col] = tile[r * 16 + o];
+        }
       }
     }
-    for (; o < outs; ++o) {
-      yrow[o * col_stride] = static_cast<std::int32_t>(
-          rq.apply(bias[o] + ops.dot_i32_i8(arow, w.data() + o * k, k)));
+    for (std::size_t r = 0; r < n; ++r) {
+      std::int32_t* yrow = y + (i0 + r) * y_row;
+      if (in_bound[r]) {
+        if (y_col == 1) requantize_row(rq, yrow, yrow, outs);
+        continue;
+      }
+      const std::int32_t* arow = a + (i0 + r) * a_row;
+      for (std::size_t o = 0; o < outs; ++o) {
+        std::int64_t acc = bias[o];
+        for (std::size_t j = 0; j < k; ++j) {
+          acc += static_cast<std::int64_t>(arow[j * a_col]) *
+                 panel_weight(w, k, o, j);
+        }
+        yrow[o * y_col] = static_cast<std::int32_t>(rq.apply(acc));
+      }
     }
   }
-  ws_release(ws, std::move(staged));
 }
 
 }  // namespace
@@ -171,7 +208,8 @@ QuantParams Linear::freeze(const QuantParams& in_qp,
                            const QuantPolicy& policy) {
   GQA_EXPECTS_MSG(!out_obs_.empty(), "freeze() requires prior calibration");
   in_qp_ = in_qp;
-  w_scale_ = quantize_weights(w_, wq_);
+  w_scale_ = quantize_weights(w_, static_cast<std::size_t>(out_),
+                              /*panels=*/true, wq_);
   const double acc_scale = in_qp.scale * w_scale_;
   bq_ = quantize_bias(b_, acc_scale);
   out_qp_ = po2_out_ ? out_obs_.make_po2(policy.act_bits)
@@ -186,18 +224,18 @@ QTensor Linear::forward_int(const QTensor& x, Workspace* ws) const {
   const int n = x.shape()[0];
   QTensor y = ws_qtensor(ws, Shape{n, out_}, out_qp_);
   const kernel::KernelOps& ops = kernel::active().ops;
-  if (has_int_gemm(ops)) {
-    int_gemm(ops, x.data().data(), static_cast<std::size_t>(n),
-             static_cast<std::size_t>(in_), wq_, bq_, rq_, y.data().data(),
-             static_cast<std::size_t>(out_), 1, ws);
+  const auto k = static_cast<std::size_t>(in_);
+  if (ops.gemm4x16_i16_i8 != nullptr) {
+    int_gemm(ops, x.data().data(), static_cast<std::size_t>(n), k, k, 1, wq_,
+             bq_, rq_, y.data().data(), static_cast<std::size_t>(out_), 1);
     return y;
   }
   for (int i = 0; i < n; ++i) {
     for (int o = 0; o < out_; ++o) {
       std::int64_t acc = bq_[static_cast<std::size_t>(o)];
-      const std::size_t wrow = static_cast<std::size_t>(o) * in_;
-      for (int k = 0; k < in_; ++k) {
-        acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
+      for (int j = 0; j < in_; ++j) {
+        acc += static_cast<std::int64_t>(x.at(i, j)) *
+               panel_weight(wq_, k, o, j);
       }
       y.at(i, o) = static_cast<std::int32_t>(rq_.apply(acc));
     }
@@ -266,7 +304,8 @@ QuantParams Conv2d::freeze(const QuantParams& in_qp,
                            const QuantPolicy& policy) {
   GQA_EXPECTS_MSG(!out_obs_.empty(), "freeze() requires prior calibration");
   in_qp_ = in_qp;
-  w_scale_ = quantize_weights(w_, wq_);
+  w_scale_ = quantize_weights(w_, static_cast<std::size_t>(out_ch_),
+                              /*panels=*/!depthwise_, wq_);
   const double acc_scale = in_qp.scale * w_scale_;
   bq_ = quantize_bias(b_, acc_scale);
   out_qp_ = po2_out_ ? out_obs_.make_po2(policy.act_bits)
@@ -287,17 +326,22 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
   const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
   const kernel::KernelOps& ops = kernel::active().ops;
-  // Both lowerings below add the bias plus exactly the scalar loop's
+  // Every lowering below adds the bias plus exactly the scalar loop's
   // products (a padding tap contributes 0), summed exactly (in bounded
   // int32 lanes, or int64 for int_gemm's rows outside the bound), so the
   // requantized codes are bit-identical to the loop at the end, which
   // stays the oracle for backends without the kernels and for depthwise
   // calls outside the int32 bound.
-  if (!depthwise_ && has_int_gemm(ops)) {
-    // im2col: row p = (oy, ox) holds p's receptive field in (ic, ky, kx)
-    // order, which is wq_'s per-output-channel layout, so the conv is one
-    // {pixels, per_oc} x {out_ch, per_oc}^T GEMM. Taps in the padding keep
-    // the acquire's zero fill.
+  if (!depthwise_ && ops.gemm4x16_i16_i8 != nullptr) {
+    // GEMM row p is pixel p, output o channel o: y[o·pixels + p]. A 1x1,
+    // stride-1, unpadded conv reads row p in place: x[ic·pixels + p].
+    if (kernel_ == 1 && stride_ == 1 && pad_ == 0) {
+      int_gemm(ops, x.data().data(), pixels, per_oc, 1, pixels, wq_, bq_, rq_,
+               y.data().data(), 1, pixels);
+      return y;
+    }
+    // Otherwise im2col: row p holds p's receptive field in (ic, ky, kx)
+    // order, the weight layout; padding taps keep the acquire's zero fill.
     std::vector<std::int32_t> col = ws_i32(ws, pixels * per_oc);
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
@@ -320,8 +364,8 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
         }
       }
     }
-    int_gemm(ops, col.data(), pixels, per_oc, wq_, bq_, rq_, y.data().data(),
-             1, pixels, ws);
+    int_gemm(ops, col.data(), pixels, per_oc, per_oc, 1, wq_, bq_, rq_,
+             y.data().data(), 1, pixels);
     ws_release(ws, std::move(col));
     return y;
   }
@@ -380,16 +424,17 @@ QTensor Conv2d::forward_int(const QTensor& x, Workspace* ws) const {
         std::int64_t acc = bq_[static_cast<std::size_t>(oc)];
         for (int ic = ic_lo; ic < ic_hi; ++ic) {
           const int wc = depthwise_ ? 0 : ic;
-          const std::size_t base =
-              static_cast<std::size_t>(oc) * per_oc + static_cast<std::size_t>(wc) * kk;
           for (int ky = 0; ky < kernel_; ++ky) {
             const int iy = oy * stride_ - pad_ + ky;
             if (iy < 0 || iy >= h) continue;
             for (int kx = 0; kx < kernel_; ++kx) {
               const int ix = ox * stride_ - pad_ + kx;
               if (ix < 0 || ix >= w) continue;
+              const auto j =
+                  static_cast<std::size_t>((wc * kernel_ + ky) * kernel_ + kx);
               acc += static_cast<std::int64_t>(x.at(ic, iy, ix)) *
-                     wq_[base + static_cast<std::size_t>(ky) * kernel_ + kx];
+                     (depthwise_ ? wq_[oc * per_oc + j]
+                                 : panel_weight(wq_, per_oc, oc, j));
             }
           }
         }

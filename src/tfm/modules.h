@@ -81,7 +81,7 @@ class Linear {
   Tensor w_;  ///< {out, in}
   Tensor b_;  ///< {out}
   RangeObserver out_obs_;
-  std::vector<std::int8_t> wq_;
+  std::vector<std::int8_t> wq_;  ///< INT8 codes in GEMM panels (freeze)
   std::vector<std::int32_t> bq_;
   double w_scale_ = 0.0;
   QuantParams in_qp_, out_qp_;
@@ -118,7 +118,7 @@ class Conv2d {
   Tensor w_;  ///< {out, in_per_group, k, k}
   Tensor b_;  ///< {out}
   RangeObserver out_obs_;
-  std::vector<std::int8_t> wq_;
+  std::vector<std::int8_t> wq_;  ///< INT8 GEMM panels; row-major if depthwise
   std::vector<std::int32_t> bq_;
   double w_scale_ = 0.0;
   QuantParams in_qp_, out_qp_;

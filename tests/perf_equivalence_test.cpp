@@ -585,27 +585,31 @@ void expect_backend_invariant(const Fn& forward, const char* what) {
 
 TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
-  // The in_features cover every mix of the int16 block's 16-, 8- and
-  // 4-wide steps and its scalar tail. The output counts cover a lone tail
-  // output, a tail with no full 4-block, exact 4-blocks, and a 4-block
-  // plus tails.
-  for (const int in : {4, 8, 12, 16, 21, 27, 33}) {
-    for (const int out : {1, 3, 4, 5, 17}) {
+  // Row counts cover every tail of the 4-row tile (a lone row through
+  // 3 full tiles plus one), output counts every tail of the 16-output panel
+  // (1, 15, 17, 31, 33) next to whole panels, and in_features odd and even
+  // k (the odd-k zero pad) from 1 to the patch-embed's 147.
+  for (const int in : {1, 2, 3, 27, 33, 147}) {
+    for (const int out : {1, 15, 16, 17, 31, 32, 33}) {
       tfm::Linear lin(in, out, rng);
-      tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, in}, rng, 1.0);
-      (void)lin.calibrate(x);
-      const QuantParams in_qp{x.amax() / 127.0, 8, true};
+      tfm::Tensor calib = tfm::Tensor::randn(tfm::Shape{13, in}, rng, 1.0);
+      (void)lin.calibrate(calib);
+      const QuantParams in_qp{calib.amax() / 127.0, 8, true};
       (void)lin.freeze(in_qp, tfm::QuantPolicy{});
-      const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-      const std::string what = "Linear int in=" + std::to_string(in) +
-                               " out=" + std::to_string(out);
-      expect_backend_invariant([&] { return lin.forward_int(qx); },
-                               what.c_str());
+      for (const int rows : {1, 2, 3, 4, 5, 7, 8, 9, 13}) {
+        tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{rows, in}, rng, 1.0);
+        const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
+        const std::string what = "Linear int rows=" + std::to_string(rows) +
+                                 " in=" + std::to_string(in) +
+                                 " out=" + std::to_string(out);
+        expect_backend_invariant([&] { return lin.forward_int(qx); },
+                                 what.c_str());
+      }
     }
   }
 
-  // One code too wide for int16 sends its row to the int64 dot, while the
-  // other rows keep the int16 block.
+  // One code too wide for int16 sends its row (row 6, inside the tile of
+  // rows 4-7) to the int64 loop, while the other rows keep the int16 tile.
   {
     tfm::Linear lin(33, 17, rng);
     tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 33}, rng, 1.0);
@@ -618,7 +622,7 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
                              "Linear int with one 1<<20 code");
   }
 
-  // A 16-bit input bus with in_features 1024: a row keeps the int16 block
+  // A 16-bit input bus with in_features 1024: a row keeps the int16 tile
   // only while every |code| <= INT32_MAX / (1024·128) = 16383. Output 0
   // has full-scale weights (codes ±127), so a row of 32767-magnitude codes
   // matching their signs sums past INT32_MAX and is exact only on the
@@ -640,16 +644,16 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
     tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
     for (int k = 0; k < kIn; ++k) {
       const std::int32_t sign = k % 3 == 0 ? -1 : 1;
-      qx.at(2, k) = sign * 16383;  // at the bound: int16 block, still exact
-      qx.at(3, k) = sign * 16384;  // one past it: int64 dot
-      qx.at(4, k) = sign * 32767;  // int32 would wrap: int64 dot
+      qx.at(2, k) = sign * 16383;  // at the bound: int16 tile, still exact
+      qx.at(3, k) = sign * 16384;  // one past it: int64 loop
+      qx.at(4, k) = sign * 32767;  // int32 would wrap: int64 loop
     }
     expect_backend_invariant([&] { return lin.forward_int(qx); },
                              "Linear int on a 16-bit bus, in=1024");
   }
 
   // Biases near ±2^30 tighten the int32 bound to max|bias| + k·|a|·128 ≤
-  // INT32_MAX: with k = 1024 a row keeps the int16 block only while every
+  // INT32_MAX: with k = 1024 a row keeps the int16 tile only while every
   // |code| <= (INT32_MAX − 2^30) / (1024·128) = 8191. A 16383 row passes
   // the bias-free bound, yet its biased sum on output 0 (bias +2^30, weights
   // matching the codes' signs) is past INT32_MAX: exact only in int64.
@@ -672,9 +676,9 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
     tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
     for (int k = 0; k < kIn; ++k) {
       const std::int32_t sign = k % 3 == 0 ? -1 : 1;
-      qx.at(1, k) = sign * 8191;    // at the biased bound: int16 block
-      qx.at(2, k) = sign * 8192;    // one past it: int64 dot
-      qx.at(3, k) = sign * 16383;   // biased sum wraps int32: int64 dot
+      qx.at(1, k) = sign * 8191;    // at the biased bound: int16 tile
+      qx.at(2, k) = sign * 8192;    // one past it: int64 loop
+      qx.at(3, k) = sign * 16383;   // biased sum wraps int32: int64 loop
       qx.at(4, k) = -sign * 16383;  // the same on the negative side
     }
     expect_backend_invariant([&] { return lin.forward_int(qx); },
@@ -784,6 +788,31 @@ TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
   }
   for (const ConvCase& c : default_model_convs()) {
     expect_conv_backend_invariant(c, rng, ws);
+  }
+  // 1x1, stride-1, unpadded convs read their input in place (row p of the
+  // GEMM is pixel p, strided by H·W). H·W = 35 and 9 leave a 3- and
+  // 1-pixel tail tile; the channel counts are odd on both sides.
+  for (const int in_ch : {1, 3, 17, 33}) {
+    for (const int out_ch : {1, 15, 17, 33}) {
+      expect_conv_backend_invariant({in_ch, out_ch, 1, 1, 0, false, 5, 7},
+                                    rng, ws);
+      expect_conv_backend_invariant({in_ch, out_ch, 1, 1, 0, false, 3, 3},
+                                    rng, ws);
+    }
+  }
+  // One out-of-bound code sends its pixel (inside the tile of pixels
+  // 8-11) down the int64 loop, which reads the input with the same
+  // H·W stride.
+  {
+    tfm::Conv2d conv(13, 17, 1, 1, 0, rng);
+    tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 5, 7}, rng, 1.0);
+    (void)conv.calibrate(x);
+    const QuantParams qp{x.amax() / 127.0, 8, true};
+    (void)conv.freeze(qp, tfm::QuantPolicy{});
+    tfm::QTensor qx = tfm::QTensor::quantize(x, qp);
+    qx.at(6, 1, 2) = 1 << 20;
+    expect_backend_invariant([&] { return conv.forward_int(qx, &ws); },
+                             "1x1 Conv2d int with one 1<<20 code");
   }
 
   // A depthwise call whose input breaks the int32 plane bound (|bias| +

@@ -304,94 +304,137 @@ TEST(SimdRowKernelDifferential, DotProductMatchesScalarReference) {
   }
 }
 
-/// Four int64 scalar dot loops: the oracle for dot4_i16_i8.
-std::vector<std::int64_t> four_scalar_dots(const std::int16_t* a,
-                                           const std::int8_t* w,
-                                           std::size_t stride,
-                                           std::size_t len) {
-  std::vector<std::int64_t> sums(4, 0);
+/// The int64 oracle of one gemm4x16_i16_i8 tile, reading the panel through
+/// its documented layout: weight (o, k) of the tile's 16 outputs is byte
+/// 32·(k/2) + 2·o + k%2.
+std::vector<std::int64_t> tile_reference(const std::int16_t* a,
+                                         std::size_t lda,
+                                         const std::int8_t* panel,
+                                         std::size_t kp,
+                                         const std::int32_t* bias16) {
+  std::vector<std::int64_t> c(4 * 16);
   for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t i = 0; i < len; ++i) {
-      sums[r] += static_cast<std::int64_t>(a[i]) * w[r * stride + i];
+    for (std::size_t o = 0; o < 16; ++o) {
+      std::int64_t sum = bias16[o];
+      for (std::size_t k = 0; k < 2 * kp; ++k) {
+        sum += static_cast<std::int64_t>(a[r * lda + k]) *
+               panel[32 * (k / 2) + 2 * o + k % 2];
+      }
+      c[r * 16 + o] = sum;
     }
   }
-  return sums;
+  return c;
 }
 
-std::vector<std::int64_t> run_dot4_i16_i8(const KernelBackend& backend,
-                                          const std::int16_t* a,
-                                          const std::int8_t* w,
-                                          std::size_t stride,
-                                          std::size_t len) {
-  std::int32_t got[4] = {-1, -1, -1, -1};
-  backend.ops.dot4_i16_i8(a, w, stride, len, got);
-  return {got[0], got[1], got[2], got[3]};
+/// Runs the backend's tile into a sentinel-filled C with row stride `ldc`,
+/// returns the 4 × 16 block, and fails if any lane past a row's 16 outputs
+/// was written.
+std::vector<std::int64_t> run_tile(const KernelBackend& backend,
+                                   const std::int16_t* a, std::size_t lda,
+                                   const std::int8_t* panel, std::size_t kp,
+                                   const std::int32_t* bias16,
+                                   std::size_t c_offset, std::size_t ldc) {
+  constexpr std::int32_t kSentinel = 0x5EEDBEEF;
+  std::vector<std::int32_t> buf(c_offset + 4 * ldc, kSentinel);
+  std::int32_t* c = buf.data() + c_offset;
+  backend.ops.gemm4x16_i16_i8(a, lda, panel, kp, bias16, c, ldc);
+  std::vector<std::int64_t> got(4 * 16);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t o = 0; o < ldc; ++o) {
+      if (o < 16) {
+        got[r * 16 + o] = c[r * ldc + o];
+      } else {
+        EXPECT_EQ(c[r * ldc + o], kSentinel)
+            << backend.name << " wrote past output 15 of row " << r;
+      }
+    }
+  }
+  return got;
 }
 
-TEST(SimdRowKernelDifferential, Dot4MatchesFourScalarDots) {
+TEST(SimdRowKernelDifferential, GemmTileMatchesInt64Loop) {
   const auto backends = available_simd_backends();
   GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
   constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
   constexpr std::int16_t kMax = std::numeric_limits<std::int16_t>::max();
-  Rng rng(0xD074);
+  constexpr std::int32_t kBias = 1 << 30;
+  Rng rng(0x6E44);
   for (const KernelBackend* backend : backends) {
-    if (backend->ops.dot4_i16_i8 == nullptr) continue;
-    // 0..67 covers every mix of 16-, 8- and 4-wide steps and scalar tail.
-    for (std::size_t len = 0; len <= 67; ++len) {
+    if (backend->ops.gemm4x16_i16_i8 == nullptr) continue;
+    // Any int16 codes and biases within ±2^30 keep even kp = 40 inside the
+    // caller's bound: 2^30 + 80·32768·128 < INT32_MAX.
+    for (std::size_t kp = 0; kp <= 40; ++kp) {
       for (std::size_t offset = 0; offset <= 3; ++offset) {
-        // An odd row stride (never a multiple of 16), so rows 1-3 start
-        // misaligned too.
-        const std::size_t stride = (len + offset + 5) | 1;
-        std::vector<std::int16_t> a(len + offset + 16, 0);
-        std::vector<std::int8_t> w(4 * stride + offset + 16, 0);
+        // An odd A row stride misaligns rows 1-3 too; C rows are wider
+        // than the tile, and every pointer is offset from its allocation.
+        const std::size_t lda = 2 * kp + 3;
+        const std::size_t ldc = 17 + offset;
+        std::vector<std::int16_t> a(offset + 4 * lda);
+        std::vector<std::int8_t> panel(offset + 32 * kp);
+        std::vector<std::int32_t> bias(offset + 16);
         for (std::int16_t& v : a) {
           v = static_cast<std::int16_t>(rng.uniform_int(kMin, kMax));
         }
-        for (std::int8_t& v : w) {
+        for (std::int8_t& v : panel) {
           v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
         }
-        // INT16_MIN/MAX codes against -128/127 weights, at the first
-        // element (vector body once len >= 4) and the last (scalar tail
-        // once len % 4 != 0). Even at len 67 every partial sum stays
-        // within 67·32768·128 < INT32_MAX, the kernel's precondition.
-        if (len >= 2) {
-          a[offset] = kMin;
-          a[offset + len - 1] = kMax;
+        for (std::int32_t& v : bias) {
+          v = static_cast<std::int32_t>(rng.uniform_int(-kBias, kBias));
+        }
+        std::int16_t* as = a.data() + offset;
+        std::int8_t* ps = panel.data() + offset;
+        std::int32_t* bs = bias.data() + offset;
+        bs[0] = kBias;
+        bs[15] = -kBias;
+        if (kp >= 1) {
+          // INT16_MIN/MAX codes against -128/127 weights in the first and
+          // last k-pair, on both halves of the panel.
           for (std::size_t r = 0; r < 4; ++r) {
-            w[offset + r * stride] = r % 2 == 0 ? -128 : 127;
-            w[offset + r * stride + len - 1] = r % 2 == 0 ? 127 : -128;
+            as[r * lda] = r % 2 == 0 ? kMin : kMax;
+            as[r * lda + 2 * kp - 1] = r % 2 == 0 ? kMax : kMin;
+          }
+          for (std::size_t o = 0; o < 16; ++o) {
+            ps[2 * o] = o % 2 == 0 ? -128 : 127;
+            ps[32 * (kp - 1) + 2 * o + 1] = o % 2 == 0 ? 127 : -128;
           }
         }
-        EXPECT_EQ(four_scalar_dots(a.data() + offset, w.data() + offset,
-                                   stride, len),
-                  run_dot4_i16_i8(*backend, a.data() + offset,
-                                  w.data() + offset, stride, len))
-            << backend->name << " len=" << len << " offset=" << offset;
+        EXPECT_EQ(tile_reference(as, lda, ps, kp, bs),
+                  run_tile(*backend, as, lda, ps, kp, bs, offset, ldc))
+            << backend->name << " kp=" << kp << " offset=" << offset;
       }
     }
   }
 }
 
-TEST(SimdRowKernelDifferential, Dot4ExactAtTheInt32Bound) {
+TEST(SimdRowKernelDifferential, GemmTileExactAtTheInt32Bound) {
   const auto backends = available_simd_backends();
   GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
-  // n·max|a|·128 = 16384·1023·128 = 2,145,386,496: exactly the caller's
-  // bound, 2,097,151 below INT32_MAX. Rows 0 and 2 reach it; rows 1 and 3
-  // (weights 127) sum to its negative side.
-  constexpr std::size_t kLen = 16384;
-  const std::vector<std::int16_t> a(kLen, -1023);
-  std::vector<std::int8_t> w(4 * kLen);
+  // max|bias| + k·max|a|·128 = INT32_MAX exactly, with k = 128 and
+  // |a| = 32767. Every weight is -128, so rows 0 and 2 (a = -32767) climb
+  // from +B to INT32_MAX on the even outputs, and rows 1 and 3 (a = +32767)
+  // fall from -B to -INT32_MAX on the odd ones.
+  constexpr std::size_t kKp = 64;
+  constexpr std::int64_t kA = 32767;
+  constexpr std::int64_t kIntMax = std::numeric_limits<std::int32_t>::max();
+  constexpr auto kB =
+      static_cast<std::int32_t>(kIntMax - 2 * kKp * kA * 128);
+  std::vector<std::int16_t> a(4 * 2 * kKp);
   for (std::size_t r = 0; r < 4; ++r) {
-    std::fill(w.begin() + r * kLen, w.begin() + (r + 1) * kLen,
-              static_cast<std::int8_t>(r % 2 == 0 ? -128 : 127));
+    std::fill(a.begin() + static_cast<std::ptrdiff_t>(r * 2 * kKp),
+              a.begin() + static_cast<std::ptrdiff_t>((r + 1) * 2 * kKp),
+              static_cast<std::int16_t>(r % 2 == 0 ? -kA : kA));
   }
+  const std::vector<std::int8_t> panel(32 * kKp, -128);
+  std::vector<std::int32_t> bias(16);
+  for (std::size_t o = 0; o < 16; ++o) bias[o] = o % 2 == 0 ? kB : -kB;
   const std::vector<std::int64_t> expected =
-      four_scalar_dots(a.data(), w.data(), kLen, kLen);
-  ASSERT_EQ(expected[0], 2145386496);
+      tile_reference(a.data(), 2 * kKp, panel.data(), kKp, bias.data());
+  ASSERT_EQ(expected[0], kIntMax);
+  ASSERT_EQ(expected[16 + 1], -kIntMax);
   for (const KernelBackend* backend : backends) {
-    if (backend->ops.dot4_i16_i8 == nullptr) continue;
-    EXPECT_EQ(expected,
-              run_dot4_i16_i8(*backend, a.data(), w.data(), kLen, kLen))
+    if (backend->ops.gemm4x16_i16_i8 == nullptr) continue;
+    EXPECT_EQ(expected, run_tile(*backend, a.data(), 2 * kKp, panel.data(),
+                                 kKp, bias.data(), 0, 16))
         << backend->name;
   }
 }

@@ -31,7 +31,7 @@
 //
 // Usage: bench_to_json [output_dir]   (default: current directory)
 // Knobs: GQA_BENCH_GENERATIONS (default 200) bounds the fit comparison;
-//        GQA_BENCH_REPS (default 3) repetitions, best run kept;
+//        GQA_BENCH_REPS (default 3, at least 1) repetitions, best run kept;
 //        GQA_SERVE_SCENES (default 12) images per serving dispatch.
 #include <algorithm>
 #include <chrono>
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "../bench/bench_util.h"
+#include "../bench/kernel_simd_rows.h"
 #include "core/approximator.h"
 #include "util/artifact_store.h"
 #include "eval/engine.h"
@@ -53,7 +54,6 @@
 #include "gqa/gqa_lut.h"
 #include "gqa/objective.h"
 #include "kernel/dispatch.h"
-#include "quant/requant.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
 #include "tfm/nonlinear_provider.h"
@@ -69,17 +69,7 @@ namespace {
 
 using namespace gqa;
 
-/// Best-of-N wall time of `fn` in milliseconds.
-template <typename Fn>
-double time_best_ms(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.milliseconds());
-  }
-  return best;
-}
+using bench::time_best_ms;
 
 /// INT8 deployment grids (the Table 1 activation sweep) or INT16 grids
 /// (the W16A16 hardware row: finer activation scales, ~200x more codes —
@@ -233,264 +223,28 @@ Json fit_report(int reps, bool& bit_identical) {
   return j;
 }
 
-/// SIMD dispatch microbenchmarks: the dense-table PWL eval (per bus width)
-/// and the integer row kernels timed under the scalar oracle and under the
-/// dispatched backend. Every row is checksum-gated — the dispatched outputs
-/// must equal the scalar oracle's bit for bit, so a throughput win can
-/// never hide a numerics change. On hosts where the dispatched backend IS
-/// scalar, rows report speedup 1.0 and the gate passes trivially.
+/// SIMD dispatch microbenchmarks: bench/kernel_simd_rows.h's rows (the
+/// dense-table PWL eval per bus width, the integer row kernels and the GEMM
+/// tile) timed under the scalar oracle and under the dispatched backend.
+/// Every row is checksum-gated — the dispatched outputs must equal the
+/// scalar oracle's bit for bit, so a throughput win can never hide a
+/// numerics change. On hosts where the dispatched backend IS scalar, rows
+/// report speedup 1.0 and the gate passes trivially.
 Json kernel_simd_section(int reps, bool& bit_identical) {
   constexpr std::size_t kBatch = 4096;
   constexpr int kLoops = 64;
   const double items = static_cast<double>(kBatch) * kLoops;
-  const std::string dispatched = kernel::active().name;
-  const kernel::KernelOps& ops = kernel::active().ops;
-
   Json j = Json::object();
-  j["kernel_backend"] = Json(dispatched);
-
-  const auto op_json = [&](double scalar_ms, double simd_ms, bool identical) {
+  j["kernel_backend"] = Json(std::string(kernel::active().name));
+  for (const bench::KernelSimdRow& row :
+       bench::kernel_simd_rows(reps, kBatch, kLoops)) {
     Json r = Json::object();
-    r["scalar_ns_per_item"] = Json(scalar_ms * 1e6 / items);
-    r["dispatched_ns_per_item"] = Json(simd_ms * 1e6 / items);
-    r["speedup"] = Json(scalar_ms / simd_ms);
-    r["bit_identical"] = Json(identical);
-    bit_identical = bit_identical && identical;
-    return r;
-  };
-
-  // Dense-table PWL eval, per bus width (the Table 1 INT8 row and the
-  // W16A16 hardware row).
-  const Approximator gelu = Approximator::fit(Op::kGelu, Method::kGqaRm, {});
-  const auto pwl_row = [&](const IntPwlUnit& unit, std::int64_t code_lo,
-                           std::int64_t code_hi) {
-    std::vector<std::int64_t> codes(kBatch);
-    std::int64_t q = code_lo;
-    const std::int64_t step = 1 + (code_hi - code_lo) / 512;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      codes[i] = q;
-      q = q >= code_hi ? code_lo : std::min(q + step, code_hi);
-    }
-    std::vector<double> out(kBatch), ref(kBatch);
-    const auto run = [&] {
-      for (int l = 0; l < kLoops; ++l) unit.eval_reals_from_codes(codes, out);
-    };
-    double scalar_ms = 0.0, simd_ms = 0.0;
-    {
-      kernel::BackendScope scope("scalar");
-      scalar_ms = time_best_ms(reps, run);
-      ref = out;
-    }
-    {
-      kernel::BackendScope scope(dispatched);
-      simd_ms = time_best_ms(reps, run);
-    }
-    bool identical = true;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      identical = identical && ref[i] == out[i];
-    }
-    return op_json(scalar_ms, simd_ms, identical);
-  };
-  j["pwl_eval_int8"] = pwl_row(gelu.make_unit(-4), -128, 127);
-  j["pwl_eval_int16"] = pwl_row(gelu.make_unit(-10, 16), -32768, 32767);
-
-  // Integer row kernels against inline scalar reference loops (the loops
-  // the oracle call sites run when the op-table entry is null).
-  Rng rng(0x51DB);
-  std::vector<std::int32_t> acts(kBatch);
-  std::vector<std::int8_t> weights(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    acts[i] = static_cast<std::int32_t>(rng.uniform_int(-32768, 32767));
-    weights[i] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  }
-  {
-    std::int64_t scalar_sum = 0, simd_sum = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
-      scalar_sum = 0;
-      for (int l = 0; l < kLoops; ++l) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          scalar_sum += static_cast<std::int64_t>(acts[i]) * weights[i];
-        }
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.dot_i32_i8 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        simd_sum = 0;
-        for (int l = 0; l < kLoops; ++l) {
-          simd_sum += ops.dot_i32_i8(acts.data(), weights.data(), kBatch);
-        }
-      });
-      identical = scalar_sum == simd_sum;
-    }
-    j["dot_i32_i8"] = op_json(scalar_ms, simd_ms, identical);
-  }
-  {
-    // The GEMM's 4-row block on 8-bit activation codes narrowed to int16
-    // (what the integer GEMM hands it), against four scalar dot loops.
-    std::vector<std::int16_t> acts16(kBatch);
-    std::vector<std::int8_t> rows4(4 * kBatch);
-    for (std::int16_t& v : acts16) {
-      v = static_cast<std::int16_t>(rng.uniform_int(-128, 127));
-    }
-    for (std::int8_t& v : rows4) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    std::vector<std::int64_t> scalar_sums(4), simd_sums(4);
-    const double scalar_ms = time_best_ms(reps, [&] {
-      std::fill(scalar_sums.begin(), scalar_sums.end(), 0);
-      for (int l = 0; l < kLoops; ++l) {
-        for (std::size_t row = 0; row < 4; ++row) {
-          for (std::size_t i = 0; i < kBatch; ++i) {
-            scalar_sums[row] += static_cast<std::int64_t>(acts16[i]) *
-                                rows4[row * kBatch + i];
-          }
-        }
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.dot4_i16_i8 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        std::fill(simd_sums.begin(), simd_sums.end(), 0);
-        for (int l = 0; l < kLoops; ++l) {
-          std::int32_t out[4];
-          ops.dot4_i16_i8(acts16.data(), rows4.data(), kBatch, kBatch, out);
-          for (std::size_t row = 0; row < 4; ++row) simd_sums[row] += out[row];
-        }
-      });
-      identical = scalar_sums == simd_sums;
-    }
-    j["dot4_i16_i8"] = op_json(scalar_ms, simd_ms, identical);
-  }
-  {
-    std::int64_t scalar_sum = 0, simd_sum = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
-      scalar_sum = 0;
-      for (int l = 0; l < kLoops; ++l) {
-        for (std::size_t i = 0; i < kBatch; ++i) scalar_sum += acts[i];
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.sum_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        simd_sum = 0;
-        for (int l = 0; l < kLoops; ++l) {
-          simd_sum += ops.sum_i32(acts.data(), kBatch);
-        }
-      });
-      identical = scalar_sum == simd_sum;
-    }
-    j["sum_i32"] = op_json(scalar_ms, simd_ms, identical);
-  }
-  {
-    std::int32_t scalar_peak = 0, simd_peak = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
-      for (int l = 0; l < kLoops; ++l) {
-        std::int32_t peak = acts[0];
-        for (std::size_t i = 1; i < kBatch; ++i) {
-          peak = std::max(peak, acts[i]);
-        }
-        scalar_peak = peak;
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.max_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        for (int l = 0; l < kLoops; ++l) {
-          simd_peak = ops.max_i32(acts.data(), kBatch);
-        }
-      });
-      identical = scalar_peak == simd_peak;
-    }
-    j["max_i32"] = op_json(scalar_ms, simd_ms, identical);
-  }
-  {
-    // The dyadic requantizer behind every GEMM row: 256-wide int32
-    // accumulator rows onto an 8-bit bus (non-po2 ratio, both ends
-    // saturating), against the per-element Requantizer::apply loop.
-    constexpr std::size_t kRow = 256;
-    const Requantizer rq(1.0, QuantParams{500.0, 8, true});
-    const Dyadic& m = rq.multiplier();
-    const BusBounds bus = bus_bounds(8, true);
-    std::vector<std::int32_t> accs(kBatch);
-    for (std::int32_t& v : accs) {
-      v = static_cast<std::int32_t>(rng.uniform_int(-65536, 65536));
-    }
-    std::vector<std::int32_t> scalar_out(kBatch), simd_out(kBatch);
-    const double scalar_ms = time_best_ms(reps, [&] {
-      for (int l = 0; l < kLoops; ++l) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          scalar_out[i] = static_cast<std::int32_t>(rq.apply(accs[i]));
-        }
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.requant_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        for (int l = 0; l < kLoops; ++l) {
-          for (std::size_t i = 0; i < kBatch; i += kRow) {
-            ops.requant_i32(accs.data() + i, m.mult, m.shift, bus,
-                            simd_out.data() + i, kRow);
-          }
-        }
-      });
-      identical = scalar_out == simd_out;
-    }
-    j["requant_i32"] = op_json(scalar_ms, simd_ms, identical);
-  }
-  {
-    // LayerNorm's affine pass on 256-wide rows of 8-bit codes onto an
-    // 8-bit bus (tails saturating), against LayerNorm::forward_int's
-    // scalar loop.
-    constexpr std::size_t kRow = 256;
-    const QuantParams out_qp{4.0 / 127.0, 8, true};
-    const BusBounds bus = bus_bounds(out_qp.bits, out_qp.is_signed);
-    std::vector<std::int32_t> codes(kBatch);
-    std::vector<float> gamma(kRow), beta(kRow);
-    for (std::int32_t& v : codes) {
-      v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
-    }
-    for (std::size_t d = 0; d < kRow; ++d) {
-      gamma[d] = static_cast<float>(rng.normal(1.0, 0.05));
-      beta[d] = static_cast<float>(rng.normal(0.0, 0.05));
-    }
-    std::vector<std::int64_t> sums(kBatch / kRow);
-    for (std::size_t i = 0; i < kBatch; ++i) sums[i / kRow] += codes[i];
-    const double inv_sigma = 1.0 / 74.0;  // ~1/σ of uniform 8-bit codes
-    const auto dim = static_cast<std::int64_t>(kRow);
-    std::vector<std::int32_t> scalar_out(kBatch), simd_out(kBatch);
-    const double scalar_ms = time_best_ms(reps, [&] {
-      for (int l = 0; l < kLoops; ++l) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          const std::size_t d = i % kRow;
-          const std::int64_t c = dim * codes[i] - sums[i / kRow];
-          const double norm = static_cast<double>(c) * inv_sigma / dim;
-          const double val = gamma[d] * norm + beta[d];
-          scalar_out[i] = static_cast<std::int32_t>(out_qp.quantize(val));
-        }
-      }
-    });
-    double simd_ms = scalar_ms;
-    bool identical = true;
-    if (ops.layernorm_affine_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
-        for (int l = 0; l < kLoops; ++l) {
-          for (std::size_t i = 0; i < kBatch; i += kRow) {
-            ops.layernorm_affine_i32(codes.data() + i, dim, sums[i / kRow],
-                                     inv_sigma, gamma.data(), beta.data(),
-                                     out_qp.scale, bus, simd_out.data() + i,
-                                     kRow);
-          }
-        }
-      });
-      identical = scalar_out == simd_out;
-    }
-    j["layernorm_affine_i32"] = op_json(scalar_ms, simd_ms, identical);
+    r["scalar_ns_per_item"] = Json(row.scalar_ms * 1e6 / items);
+    r["dispatched_ns_per_item"] = Json(row.simd_ms * 1e6 / items);
+    r["speedup"] = Json(row.scalar_ms / row.simd_ms);
+    r["bit_identical"] = Json(row.identical);
+    bit_identical = bit_identical && row.identical;
+    j[row.key] = std::move(r);
   }
   return j;
 }
@@ -1065,7 +819,7 @@ Json serve_report(int reps, bool& bit_identical) {
 
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
-  const int reps = static_cast<int>(env_int("GQA_BENCH_REPS", 3));
+  const int reps = bench::bench_reps(3);
 
   // The completeness manifest: every name here must be emitted below, or
   // the tool exits non-zero. A section that fails (or is silently skipped
